@@ -283,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
             default=201,
             help="rows in the mechanism table (default 201)",
         )
-        p.add_argument("--tol-root", type=float, help="override root residual tolerance")
         p.add_argument("--tol-quad", type=float, help="override quadrature tolerance")
 
     common(sub.add_parser("solve-rs", help="optimal satisficing mechanism"), tau=True)
@@ -300,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_p.add_argument("--out")
     cmp_p.add_argument("--table")
     cmp_p.add_argument("--table-points", type=int, default=201)
-    cmp_p.add_argument("--tol-root", type=float)
     cmp_p.add_argument("--tol-quad", type=float)
 
     ev = sub.add_parser("evaluate", help="out-of-sample expected revenue")
@@ -354,9 +352,6 @@ def _apply_tolerances(args):
     from . import numerics
 
     saved = {}
-    if getattr(args, "tol_root", None):
-        saved["ROOT_FTOL"] = numerics.ROOT_FTOL
-        numerics.ROOT_FTOL = args.tol_root
     if getattr(args, "tol_quad", None):
         saved["QUAD_TOL"] = numerics.QUAD_TOL
         numerics.QUAD_TOL = args.tol_quad

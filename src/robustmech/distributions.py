@@ -168,8 +168,8 @@ class Power(ValuationDistribution):
     is_regular = True
 
     def __post_init__(self):
-        if not self.alpha >= 1.0:
-            raise DomainError(f"power exponent must be >= 1, got {self.alpha}")
+        if not (math.isfinite(self.alpha) and self.alpha >= 1.0):
+            raise DomainError(f"power exponent must be finite, >= 1, got {self.alpha}")
 
     def _ccdf(self, xs):
         return 1.0 - xs**self.alpha
@@ -199,8 +199,8 @@ class TruncatedExponential(ValuationDistribution):
     is_regular = True
 
     def __post_init__(self):
-        if not self.rate > 0.0:
-            raise DomainError(f"rate must be positive, got {self.rate}")
+        if not (math.isfinite(self.rate) and self.rate > 0.0):
+            raise DomainError(f"rate must be finite and positive, got {self.rate}")
 
     @property
     def _z(self):
@@ -235,8 +235,8 @@ class Beta(ValuationDistribution):
     beta: float
 
     def __post_init__(self):
-        if not (self.alpha > 0.0 and self.beta > 0.0):
-            raise DomainError("beta shape parameters must be positive")
+        if not all(math.isfinite(s) and s > 0.0 for s in (self.alpha, self.beta)):
+            raise DomainError("beta shape parameters must be finite and positive")
 
     @property
     def is_regular(self):
@@ -277,7 +277,8 @@ class Mixture(ValuationDistribution):
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
         if len(self.components) != len(self.weights) or not self.components:
             raise DomainError("mixture needs matching, nonempty components and weights")
-        if any(w < 0.0 for w in self.weights) or abs(sum(self.weights) - 1.0) > 1e-9:
+        total = sum(self.weights)
+        if not (all(w >= 0.0 for w in self.weights) and abs(total - 1.0) <= 1e-9):
             raise DomainError("mixture weights must be nonnegative and sum to 1")
         if any(isinstance(c, Empirical) for c in self.components):
             raise DomainError("mixture components must be continuous")
@@ -330,7 +331,7 @@ class Empirical(ValuationDistribution):
             m = float(m)
             if not -1e-12 <= v <= 1.0 + 1e-12:
                 raise DomainError(f"atom value {v} outside [0, 1]")
-            if m <= 0.0:
+            if not m > 0.0:
                 raise DomainError(f"atom mass must be positive, got {m}")
             v = min(max(v, 0.0), 1.0)
             merged[v] = merged.get(v, 0.0) + m

@@ -26,6 +26,9 @@ from .numerics import refine_crossing
 
 __all__ = ["IsoRevenueCut", "cut", "gap_only", "worst_case_ccdf"]
 
+#: log of the lowest revenue level the solvers' level searches visit; it
+#: stands in for level 0, whose cut spans all of (0, 1]
+LOG_LEVEL_FLOOR = -700.0
 #: intervals narrower than this are tangency artifacts and carry no measure
 _TANGENCY_WIDTH = 1e-9
 #: tie band for a crossing landing exactly on an empirical atom

@@ -2,9 +2,11 @@
 
 All solver equations in this package are monotone scalar equations whose
 derivatives are kinked at interval-count transitions, so plain bisection is
-used throughout (never derivative-based steps).  Default tolerances: the
-iteration stops as soon as |f(mid)| <= ftol or the bracket width falls below
-xtol, whichever happens first.
+used throughout (never derivative-based steps).  A bisection stops at an
+exact zero or once the bracket is no wider than xtol; the level searches pass
+xtol = 0, which runs until the bracket collapses to adjacent floats.
+Tolerances are fixed at import; only the quadrature tolerance QUAD_TOL is
+read at call time.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from typing import Callable, Sequence
 
 from .errors import BracketError
 
-ROOT_FTOL = 1e-10
 ROOT_XTOL = 1e-12
 QUAD_TOL = 1e-10
 QUAD_MAX_DEPTH = 60
@@ -34,8 +35,7 @@ def bisect_root(
     lo: float,
     hi: float,
     *,
-    xtol: float | None = None,
-    ftol: float | None = None,
+    xtol: float = ROOT_XTOL,
     max_iter: int = 200,
     flo: float | None = None,
     fhi: float | None = None,
@@ -44,13 +44,8 @@ def bisect_root(
 
     ``flo``/``fhi`` may be supplied to avoid evaluating at an endpoint (for
     instance when the function diverges there; ``math.inf`` is accepted).
-    Tolerances default to the module-level ROOT_XTOL/ROOT_FTOL, read at call
-    time so they can be overridden globally (the CLI exposes this).
+    Beyond an exact zero, only their signs matter.
     """
-    if xtol is None:
-        xtol = ROOT_XTOL
-    if ftol is None:
-        ftol = ROOT_FTOL
     if not lo < hi:
         raise BracketError(f"invalid bracket [{lo}, {hi}]")
     fa = f(lo) if flo is None else flo
@@ -70,7 +65,7 @@ def bisect_root(
             # bracket has collapsed to adjacent floats
             return RootResult(mid, it, fm if math.isfinite(fm) else 0.0, True)
         fm = f(mid)
-        if fm == 0.0 or abs(fm) <= ftol:
+        if fm == 0.0:
             return RootResult(mid, it, fm, True)
         if math.copysign(1.0, fm) == math.copysign(1.0, fa):
             a, fa = mid, fm
@@ -95,7 +90,7 @@ def refine_crossing(
     bracket collapses to adjacent floats (well below 1e-12).  The iteration
     cap accommodates roots many orders of magnitude below the bracket width.
     """
-    res = bisect_root(f, lo, hi, xtol=0.0, ftol=0.0, max_iter=1200, flo=flo, fhi=fhi)
+    res = bisect_root(f, lo, hi, xtol=0.0, max_iter=1200, flo=flo, fhi=fhi)
     return res.root
 
 
@@ -177,23 +172,3 @@ def adaptive_simpson(
         total += _adaptive(f, lo, hi, flo, fm, fhi, whole, tol, max_depth)
     return total
 
-
-def expand_bracket_up(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    *,
-    cap: float,
-) -> tuple[float, float, float, float]:
-    """Double ``hi`` until f changes sign (f(lo) < 0 <= f(hi)) or ``cap`` is hit.
-
-    Returns (lo, hi, f(lo), f(hi)); the caller must inspect the signs when the
-    cap was reached without a sign change.
-    """
-    flo = f(lo)
-    fhi = f(hi)
-    while fhi < 0.0 and hi < cap:
-        lo, flo = hi, fhi
-        hi = min(2.0 * hi, cap)
-        fhi = f(hi)
-    return lo, hi, flo, fhi

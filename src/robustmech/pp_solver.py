@@ -6,6 +6,14 @@ within p/k above it contributes the fragility-scaled surplus gap, and higher
 buyers contribute the full price.  It is concave in p, increasing in k, and
 piecewise linear in p for empirical references with kinks only at
 {k/(k+1) * atom} and the atoms themselves.
+
+On a regular reference the optimal price for fragility k is the lower end u
+of the single-interval iso-revenue cut [u, w] with w/u = (k+1)/k, so both
+searches run over the cut level c, in log(c): for a given k, c solves
+ln(w/u) = ln((k+1)/k); for a target tau, c solves
+rho_pp = u/(w - u) * int_u^w ccdf = tau, with p = u and k = u/(w - u).
+Other references (empirical, irregular, or a cut that splits) bisect k
+directly, pricing each k by exact candidates or a concavity-backed scan.
 """
 
 from __future__ import annotations
@@ -15,9 +23,9 @@ from dataclasses import dataclass, field
 
 from .distributions import Empirical, ValuationDistribution, max_posted_revenue
 from .errors import DomainError, InfeasibleTargetError
-from .isorevenue import cut
+from .isorevenue import LOG_LEVEL_FLOOR, cut
 from .mechanisms import PostedPrice
-from .numerics import bisect_root, expand_bracket_up, golden_section_max
+from .numerics import bisect_root, golden_section_max
 
 __all__ = [
     "PPSolveReport",
@@ -28,7 +36,6 @@ __all__ = [
 ]
 
 FEASIBILITY_MARGIN = 1e-9
-K_CAP = 1e6
 
 
 @dataclass(frozen=True)
@@ -82,34 +89,29 @@ def _pp_candidates(dist: Empirical, k: float) -> list[float]:
     return [c for c in cands if 0.0 < c <= 1.0]
 
 
-def _optimal_price_regular(dist: ValuationDistribution, k: float) -> float | None:
-    """Iso-revenue route: the unique level c with price ratio (k+1)/k.
+def _regular_cut(dist: ValuationDistribution, excess):
+    """Interval (u, w) of the cut at the root of ``excess(u, w)``, found in
+    log(level), and the number of bisection steps.
 
-    Returns None when a cut with other than two crossing prices shows up,
-    signalling that the quasi-concave characterization does not apply.
+    ``excess`` increases with the level, is negative as the level tends to 0
+    and positive at the tangency level pi0, where the cut empties.  A split
+    cut met on the way is read through its outer ends.  Returns None when the
+    cut at the root is not a single interval, signalling that the
+    quasi-concave characterization does not apply.
     """
     pi0, _ = max_posted_revenue(dist)
-    target = math.log((k + 1.0) / k)
-    bad = False
 
-    def f(c: float) -> float:
-        nonlocal bad
-        cc = cut(dist, c)
-        if cc.count > 1:
-            bad = True
-            return 0.0
-        if cc.count == 0:
-            return -target  # tangency at the top: ratio has reached 1
-        u, w = cc.intervals[0]
-        return math.log(w / u) - target
+    def f(t: float) -> float:
+        c = cut(dist, math.exp(t))
+        if not c.intervals:
+            return math.inf
+        return excess(c.intervals[0][0], c.intervals[-1][1])
 
-    res = bisect_root(f, 0.0, pi0, flo=math.inf)
-    if bad:
-        return None
-    c = cut(dist, res.root)
-    if c.count != 1:
-        return None
-    return c.intervals[0][0]
+    res = bisect_root(
+        f, LOG_LEVEL_FLOOR, math.log(pi0), xtol=0.0, flo=-math.inf, fhi=math.inf
+    )
+    c = cut(dist, math.exp(res.root))
+    return (c.intervals[0], res.iterations) if c.count == 1 else None
 
 
 def _optimal_price_scan(dist: ValuationDistribution, k: float) -> float:
@@ -135,9 +137,11 @@ def optimal_price_given_k(dist: ValuationDistribution, k: float) -> float:
         cands = _pp_candidates(dist, k)
         return max(cands, key=lambda p: rho_pp(dist, p, k))
     if dist.is_regular:
-        p = _optimal_price_regular(dist, k)
-        if p is not None:
-            return p
+        # price ratio w/u = (k+1)/k; the ratio falls to 1 at the tangency
+        target = math.log((k + 1.0) / k)
+        found = _regular_cut(dist, lambda u, w: target - math.log(w / u))
+        if found is not None:
+            return found[0][0]
     return _optimal_price_scan(dist, k)
 
 
@@ -146,30 +150,25 @@ def solve_pp(dist: ValuationDistribution, tau: float) -> PPSolveReport:
     pi0, _ = max_posted_revenue(dist)
     if not tau > 0.0 or tau >= pi0 - FEASIBILITY_MARGIN:
         raise InfeasibleTargetError(tau, pi0)
-    warnings: list[str] = []
-
-    def f(k: float) -> float:
-        return rho_pp(dist, optimal_price_given_k(dist, k), k) - tau
-
-    lo, hi, flo, fhi = expand_bracket_up(f, 1e-9, 1.0, cap=K_CAP)
-    while flo > 0.0 and lo > 1e-18:
-        hi, fhi = lo, flo
-        lo *= 0.5
-        flo = f(lo)
-    if fhi < 0.0:
-        warnings.append(
-            f"fragility hit the search cap {K_CAP:g}; target is numerically "
-            "indistinguishable from the posted-price optimum"
-        )
-        k_pp = hi
-        it, resid = 0, fhi
+    found = (
+        _regular_cut(dist, lambda u, w: u / (w - u) * dist.ccdf_integral(u, w) - tau)
+        if dist.is_regular
+        else None
+    )
+    if found is not None:
+        (u, w), it = found
+        p, k_pp = u, u / (w - u)
     else:
-        # rho^PP*(k) flattens at large k, so a residual stop would leave k
-        # orders looser than the bracket: drive the bracket width down instead
-        res = bisect_root(f, lo, hi, flo=flo, fhi=fhi, ftol=0.0)
-        k_pp = res.root
-        it, resid = res.iterations, res.residual
-    p = optimal_price_given_k(dist, k_pp)
+        def f(k: float) -> float:
+            return rho_pp(dist, optimal_price_given_k(dist, k), k) - tau
+
+        # rho_pp*(k) <= k * mean, and pricing at k/(k+1) * p0 earns
+        # k/(k+1) * pi0, so the root lies in [tau/mean, tau/(pi0 - tau)]
+        res = bisect_root(
+            f, tau / dist.mean(), tau / (pi0 - tau), flo=-math.inf, fhi=math.inf
+        )
+        k_pp, it = res.root, res.iterations
+        p = optimal_price_given_k(dist, k_pp)
     rho = rho_pp(dist, p, k_pp)
     return PPSolveReport(
         tau=tau,
@@ -178,8 +177,7 @@ def solve_pp(dist: ValuationDistribution, tau: float) -> PPSolveReport:
         rho_at_solution=rho,
         mechanism=PostedPrice(p),
         iterations=it,
-        residual=resid,
-        warnings=tuple(warnings),
+        residual=rho - tau,
     )
 
 

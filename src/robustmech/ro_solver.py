@@ -20,7 +20,7 @@ from .errors import (
     RadiusTooLargeError,
     UnsupportedReferenceError,
 )
-from .isorevenue import cut, gap_only
+from .isorevenue import LOG_LEVEL_FLOOR, IsoRevenueCut, cut, gap_only
 from .mechanisms import Mechanism, PostedPrice, RandomizedLogMechanism
 from .numerics import bisect_root
 
@@ -61,41 +61,51 @@ class ROSolveReport:
 
 
 def _check_radius(dist: ValuationDistribution, r: float) -> None:
-    if r < 0.0:
-        raise DomainError(f"ambiguity radius must be nonnegative, got {r}")
+    if not (math.isfinite(r) and r >= 0.0):
+        raise DomainError(f"ambiguity radius must be finite and nonnegative, got {r}")
     mu0 = dist.mean()
     if r >= mu0:
         raise RadiusTooLargeError(r, mu0)
 
 
-def _pi_ro_cut(dist: ValuationDistribution, r: float):
+def _pi_ro_cut(
+    dist: ValuationDistribution, r: float
+) -> tuple[IsoRevenueCut, int, float]:
+    """Cut at the root of gap(pi) = r, with the search's iterations and residual."""
     _check_radius(dist, r)
     pi0, _ = max_posted_revenue(dist)
     if r == 0.0:
-        return pi0, 0, 0.0
-    # the gap decreases from the mean at 0 to zero at the maximum revenue
-    res = bisect_root(lambda pi: gap_only(dist, pi) - r, 0.0, pi0)
-    return res.root, res.iterations, res.residual
+        return cut(dist, pi0), 0, 0.0
+    # the gap falls from the mean at level 0 to zero at pi0; searching in
+    # log(pi) keeps the relative error at float resolution at every scale
+    res = bisect_root(
+        lambda t: gap_only(dist, math.exp(t)) - r,
+        LOG_LEVEL_FLOOR,
+        math.log(pi0),
+        xtol=0.0,
+        flo=dist.mean() - r,
+        fhi=-r,
+    )
+    return cut(dist, math.exp(res.root)), res.iterations, res.residual
 
 
-def pi_ro_star(dist: ValuationDistribution, r: float) -> float:
-    """Maximum worst-case revenue: the unique root of gap(pi) = r."""
-    pi, _, _ = _pi_ro_cut(dist, r)
-    return pi
-
-
-def build_ro_mechanism(dist: ValuationDistribution, r: float) -> Mechanism:
-    """Worst-case-optimal mechanism at radius r.
-
-    At r = 0 the cut degenerates to the tangency point and the optimal menu
-    collapses to the classical posted price at the reference argmax.
-    """
-    pi, _, _ = _pi_ro_cut(dist, r)
-    c = cut(dist, pi)
+def _mechanism(dist: ValuationDistribution, c: IsoRevenueCut) -> Mechanism:
+    """Log menu on the cut; an empty cut (the tangency at pi0) collapses the
+    menu to the classical posted price at the reference argmax."""
     if not c.intervals:
         _, p_opt = max_posted_revenue(dist)
         return PostedPrice(p_opt)
     return RandomizedLogMechanism.from_cut(c)
+
+
+def pi_ro_star(dist: ValuationDistribution, r: float) -> float:
+    """Maximum worst-case revenue: the unique root of gap(pi) = r."""
+    return _pi_ro_cut(dist, r)[0].pi
+
+
+def build_ro_mechanism(dist: ValuationDistribution, r: float) -> Mechanism:
+    """Worst-case-optimal mechanism at radius r (a posted price at r = 0)."""
+    return _mechanism(dist, _pi_ro_cut(dist, r)[0])
 
 
 def ro_pp_price_uniform(r: float) -> float:
@@ -108,13 +118,8 @@ def ro_pp_price_uniform(r: float) -> float:
 def tau_equiv(dist: ValuationDistribution, r: float) -> float:
     """Satisficing target at which the two robust frameworks produce the same
     mechanism: pi_ro_star(r) + r / sum(ln(w/u)) over the cut at that level."""
-    _check_radius(dist, r)
-    if r == 0.0:
-        pi0, _ = max_posted_revenue(dist)
-        return pi0
-    pi, _, _ = _pi_ro_cut(dist, r)
-    c = cut(dist, pi)
-    return pi + r / c.log_sum
+    c, _, _ = _pi_ro_cut(dist, r)
+    return c.pi + r / c.log_sum if c.intervals else c.pi
 
 
 def radius_for_target(dist: ValuationDistribution, tau: float) -> float:
@@ -131,22 +136,15 @@ def radius_for_target(dist: ValuationDistribution, tau: float) -> float:
 
 def solve_ro(dist: ValuationDistribution, r: float) -> ROSolveReport:
     """Full worst-case-optimal solve at radius r."""
-    pi, it, resid = _pi_ro_cut(dist, r)
-    c = cut(dist, pi)
-    if c.intervals:
-        mech: Mechanism = RandomizedLogMechanism.from_cut(c)
-    else:
-        _, p_opt = max_posted_revenue(dist)
-        mech = PostedPrice(p_opt)
+    c, it, resid = _pi_ro_cut(dist, r)
     pp_price = ro_pp_price_uniform(r) if isinstance(dist, Uniform) else None
     return ROSolveReport(
         r=r,
-        pi_ro_star=pi,
-        mechanism=mech,
+        pi_ro_star=c.pi,
+        mechanism=_mechanism(dist, c),
         pp_price_uniform=pp_price,
         iterations=it,
         residual=resid,
-        warnings=(),
     )
 
 

@@ -3,14 +3,17 @@
 Given a reference distribution and a revenue target tau, the solver finds the
 smallest fragility k such that the target shortfall under any valuation
 distribution P is bounded by k times the Wasserstein distance of P from the
-reference.  The search runs over two nested monotone scalar equations:
+reference.  The solution is indexed by the revenue level pi of the
+iso-revenue cut: with L(pi) = sum_j ln(w_j/u_j) over the cut intervals,
 
-* for fixed k, the worst-case revenue pi*(k) is the unique root of
-  sum_j ln(w_j/u_j) = 1/k over the iso-revenue cut intervals, and
-* the minimal fragility-adjusted revenue rho*(k) = k * sum_j int_{u_j}^{w_j}
-  ccdf is strictly increasing in k, so k* solves rho*(k) = tau by bisection.
+* the fragility whose worst-case revenue is pi is k(pi) = 1/L(pi), and
+* the minimal fragility-adjusted revenue at that fragility is
+  rho(pi) = pi + gap(pi)/L(pi) >= pi, nondecreasing in pi,
 
-The optimal mechanism is the randomized log menu on the cut at pi*(k*).
+so one bisection in log(pi) solves rho(pi) = tau and k* = 1/L(pi*).  When
+pi* underflows the floor level, the floor cut already covers the reference
+and k* = tau / int ccdf over it.  The optimal mechanism is the randomized
+log menu on the cut at pi*.
 """
 
 from __future__ import annotations
@@ -20,17 +23,15 @@ from dataclasses import dataclass, field
 
 from .distributions import ValuationDistribution, max_posted_revenue
 from .errors import InfeasibleTargetError
-from .isorevenue import IsoRevenueCut, cut, gap_only
+from .isorevenue import LOG_LEVEL_FLOOR, IsoRevenueCut, cut, gap_only
 from .mechanisms import RandomizedLogMechanism
-from .numerics import bisect_root, expand_bracket_up
+from .numerics import bisect_root
 
 __all__ = ["SolveReport", "fragility_adjusted_revenue", "pi_star", "rho_star", "solve"]
 
 #: targets closer to the posted-price optimum than this are rejected: the
 #: fragility diverges as tau approaches the maximum posted revenue
 FEASIBILITY_MARGIN = 1e-9
-#: fragility cap for the bracket expansion
-K_CAP = 1e6
 
 
 @dataclass(frozen=True)
@@ -68,54 +69,45 @@ def fragility_adjusted_revenue(
     return pi + k * gap_only(dist, pi)
 
 
-def _pi_star_cut(
-    dist: ValuationDistribution,
-    k: float,
-    *,
-    ftol: float | None = None,
-    xtol: float | None = None,
-) -> tuple[IsoRevenueCut, int, float]:
-    """Root of log_sum(cut(pi)) = 1/k, returned together with its cut."""
+def _pi_star_cut(dist: ValuationDistribution, k: float) -> IsoRevenueCut:
+    """Cut at the root of log_sum(cut(pi)) = 1/k, found in log(pi).
+
+    The root scales like exp(-1/k) for small k; below the floor level (the
+    root underflows) the floor cut is returned.
+    """
     if not k > 0.0:
         raise ValueError(f"fragility must be positive, got {k}")
     pi0, _ = max_posted_revenue(dist)
     target = 1.0 / k
-
-    # the root pi*(k) scales like exp(-1/k) for small k, so bisect in the log
-    # of the level: the tolerance then bounds the RELATIVE error at any scale
-    def f(t: float) -> float:
-        ls = cut(dist, math.exp(t)).log_sum
-        return ls - target if math.isfinite(ls) else math.inf
-
-    t_lo = -700.0  # level below any representable revenue of interest
-    t_hi = math.log(pi0)
-    f_lo = f(t_lo)
-    if f_lo <= 0.0:
-        # fragility so small the root underflows; report the floor level
-        c = cut(dist, math.exp(t_lo))
-        return c, 0, f_lo
-    res = bisect_root(f, t_lo, t_hi, xtol=xtol, ftol=ftol, flo=f_lo)
-    c = cut(dist, math.exp(res.root))
-    if not c.intervals:
-        # back off when the tangency interval is narrower than the scan
-        # resolution (extremely large k pushes pi* against the maximum)
-        for eps in (1e-9, 1e-6, 1e-3):
-            c = cut(dist, math.exp(res.root) * (1.0 - eps))
-            if c.intervals:
-                break
-    return c, res.iterations, res.residual
+    floor = cut(dist, math.exp(LOG_LEVEL_FLOOR))
+    if floor.log_sum <= target:
+        return floor
+    # log_sum falls to 0 at the tangency level pi0
+    res = bisect_root(
+        lambda t: cut(dist, math.exp(t)).log_sum - target,
+        LOG_LEVEL_FLOOR,
+        math.log(pi0),
+        xtol=0.0,
+        flo=floor.log_sum - target,
+        fhi=-target,
+    )
+    return cut(dist, math.exp(res.root))
 
 
 def pi_star(dist: ValuationDistribution, k: float) -> float:
     """Worst-case revenue pi*(k): minimizer of the fragility-adjusted revenue."""
-    c, _, _ = _pi_star_cut(dist, k)
-    return c.pi
+    return _pi_star_cut(dist, k).pi
 
 
 def rho_star(dist: ValuationDistribution, k: float) -> float:
     """Minimal fragility-adjusted revenue rho*(k); strictly increasing in k."""
-    c, _, _ = _pi_star_cut(dist, k)
-    return k * math.fsum(dist.ccdf_integral(u, w) for u, w in c.intervals)
+    c = _pi_star_cut(dist, k)
+    return c.pi + k * c.gap
+
+
+def _level_rho(c: IsoRevenueCut) -> float:
+    """rho(pi) = pi + gap/log_sum; an empty cut sits at the tangency, k = inf."""
+    return c.pi + c.gap / c.log_sum if c.intervals else math.inf
 
 
 def solve(dist: ValuationDistribution, tau: float) -> SolveReport:
@@ -127,30 +119,33 @@ def solve(dist: ValuationDistribution, tau: float) -> SolveReport:
     pi0, _ = max_posted_revenue(dist)
     if not tau > 0.0 or tau >= pi0 - FEASIBILITY_MARGIN:
         raise InfeasibleTargetError(tau, pi0)
-    warnings: list[str] = []
-
-    def f(k: float) -> float:
-        return rho_star(dist, k) - tau
-
-    lo, hi, flo, fhi = expand_bracket_up(f, 1e-9, 1.0, cap=K_CAP)
-    while flo > 0.0 and lo > 1e-18:
-        # vanishing targets need fragilities below the nominal bracket floor
-        hi, fhi = lo, flo
-        lo *= 0.5
-        flo = f(lo)
-    if fhi < 0.0:
-        warnings.append(
-            f"fragility hit the search cap {K_CAP:g}; target is numerically "
-            "indistinguishable from the posted-price optimum"
+    warnings: tuple[str, ...] = ()
+    c = cut(dist, math.exp(LOG_LEVEL_FLOOR))
+    rho_floor = _level_rho(c)
+    if rho_floor >= tau:
+        # pi* underflows the floor level; the cut there already covers the
+        # reference up to a negligible measure, so k* = tau / int ccdf is exact
+        warnings = (
+            f"pi* underflows the floor level exp({LOG_LEVEL_FLOOR:g}); "
+            "the cut at the floor is reported",
         )
-        k_star = hi
-        res_iter, res_resid = 0, fhi
+        k_star = tau / math.fsum(dist.ccdf_integral(u, w) for u, w in c.intervals)
+        iterations = 0
     else:
-        res = bisect_root(f, lo, hi, flo=flo, fhi=fhi)
-        k_star = res.root
-        res_iter, res_resid = res.iterations, res.residual
-    c, _, _ = _pi_star_cut(dist, k_star)
-    mech = RandomizedLogMechanism.from_cut(c)
+        # rho(tau) >= tau, so log(tau) closes the bracket
+        res = bisect_root(
+            lambda t: _level_rho(cut(dist, math.exp(t))) - tau,
+            LOG_LEVEL_FLOOR,
+            math.log(tau),
+            xtol=0.0,
+            flo=rho_floor - tau,
+            fhi=math.inf,
+        )
+        c = cut(dist, math.exp(res.root))
+        if not c.intervals:
+            # tau is within the tangency resolution of pi0
+            raise InfeasibleTargetError(tau, pi0)
+        k_star, iterations = 1.0 / c.log_sum, res.iterations
     rho = k_star * math.fsum(dist.ccdf_integral(u, w) for u, w in c.intervals)
     return SolveReport(
         tau=tau,
@@ -158,8 +153,8 @@ def solve(dist: ValuationDistribution, tau: float) -> SolveReport:
         pi_star=c.pi,
         rho_at_solution=rho,
         intervals=c.intervals,
-        mechanism=mech,
-        iterations=res_iter,
-        residual=res_resid,
-        warnings=tuple(warnings),
+        mechanism=RandomizedLogMechanism.from_cut(c),
+        iterations=iterations,
+        residual=rho - tau,
+        warnings=warnings,
     )

@@ -68,7 +68,7 @@ class TestSolveRs:
     def test_tolerance_overrides_accepted(self, capsys):
         code, stdout, _ = run_cli(
             capsys, "solve-rs", "--reference", UNIFORM, "--tau", "0.2",
-            "--tol-root", "1e-8", "--tol-quad", "1e-8",
+            "--tol-quad", "1e-8",
         )
         assert code == 0
         assert json.loads(stdout)["k_star"] == pytest.approx(0.563, abs=0.001)

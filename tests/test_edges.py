@@ -1,0 +1,101 @@
+"""Relative accuracy at the edges of the feasible range, and typed errors for
+non-finite input.
+
+The accuracy oracles are float closed forms for the uniform reference, solved
+with scipy's brentq rather than the library's cuts and searches:
+
+* RS: rho*(k) = (k/2) tanh(1/(2k)) = tau;
+* PP: k = 2 tau / (1 - 4 tau), p = 2 tau;
+* RO: gap(pi) = s/2 - pi ln((1+s)^2 / (4 pi)) = r with s = sqrt(1 - 4 pi).
+"""
+
+import math
+
+import pytest
+from scipy.optimize import brentq
+
+from robustmech import (
+    Beta,
+    DomainError,
+    Empirical,
+    Mixture,
+    Power,
+    TruncatedExponential,
+    Uniform,
+    pi_ro_star,
+    solve,
+    solve_pp,
+    solve_ro,
+)
+
+PI0 = 0.25
+MEAN = 0.5
+TAU_FRACS = [1e-12, 1e-6, 1e-3, 0.05, 0.5, 0.95, 0.9996]
+# brentq's default xtol is absolute (2e-12): too loose for roots near 1e-13
+TOLS = {"xtol": 1e-300, "rtol": 4.0 * 2.0**-52}
+
+
+def uniform_k_star(tau: float) -> float:
+    return brentq(lambda k: 0.5 * k * math.tanh(0.5 / k) - tau, tau, 1e6, **TOLS)
+
+
+def uniform_gap(pi: float) -> float:
+    s = math.sqrt(1.0 - 4.0 * pi)
+    # ln((1+s)/(1-s)) with 1 - s = 4 pi / (1 + s), free of cancellation
+    return 0.5 * s - pi * math.log((1.0 + s) ** 2 / (4.0 * pi))
+
+
+def uniform_pi_ro(r: float) -> float:
+    return brentq(lambda pi: uniform_gap(pi) - r, 1e-300, PI0, **TOLS)
+
+
+def rel_err(x: float, ref: float) -> float:
+    return abs(x - ref) / abs(ref)
+
+
+@pytest.mark.parametrize("frac", TAU_FRACS)
+def test_rs_fragility_relative_accuracy(frac):
+    tau = frac * PI0
+    assert rel_err(solve(Uniform(), tau).k_star, uniform_k_star(tau)) <= 1e-9
+
+
+def test_rs_warns_when_pi_star_underflows():
+    assert solve(Uniform(), 1e-12 * PI0).warnings
+    assert not solve(Uniform(), 0.05 * PI0).warnings
+
+
+@pytest.mark.parametrize("frac", TAU_FRACS)
+def test_pp_relative_accuracy(frac):
+    tau = frac * PI0
+    rep = solve_pp(Uniform(), tau)
+    assert rel_err(rep.k_pp, 2.0 * tau / (1.0 - 4.0 * tau)) <= 1e-9
+    assert rel_err(rep.p_pp, 2.0 * tau) <= 1e-9
+
+
+@pytest.mark.parametrize("r", [1e-12, 0.2 * MEAN, 0.8 * MEAN, (1.0 - 1e-6) * MEAN])
+def test_ro_level_relative_accuracy(r):
+    assert rel_err(pi_ro_star(Uniform(), r), uniform_pi_ro(r)) <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda: Power(math.inf), id="power-inf"),
+        pytest.param(lambda: Power(math.nan), id="power-nan"),
+        pytest.param(lambda: Beta(math.inf, 1.0), id="beta-alpha-inf"),
+        pytest.param(lambda: Beta(2.0, math.nan), id="beta-beta-nan"),
+        pytest.param(lambda: TruncatedExponential(math.inf), id="texp-inf"),
+        pytest.param(lambda: TruncatedExponential(math.nan), id="texp-nan"),
+        pytest.param(
+            lambda: Mixture((Uniform(), Beta(2.0, 5.0)), (math.nan, 0.5)),
+            id="mixture-weight-nan",
+        ),
+        pytest.param(lambda: Empirical(((0.5, math.nan),)), id="empirical-mass-nan"),
+        pytest.param(lambda: pi_ro_star(Uniform(), math.nan), id="radius-nan"),
+        pytest.param(lambda: solve_ro(Uniform(), math.inf), id="radius-inf"),
+        pytest.param(lambda: solve_ro(Uniform(), -math.inf), id="radius-minus-inf"),
+    ],
+)
+def test_non_finite_input_raises_domain_error(make):
+    with pytest.raises(DomainError):
+        make()

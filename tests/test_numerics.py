@@ -6,7 +6,6 @@ from robustmech.errors import BracketError
 from robustmech.numerics import (
     adaptive_simpson,
     bisect_root,
-    expand_bracket_up,
     golden_section_max,
     refine_crossing,
 )
@@ -49,14 +48,3 @@ def test_adaptive_simpson_kink_with_split():
     exact = 0.3**2 / 2 + 0.7**2 / 2
     assert val == pytest.approx(exact, abs=1e-12)
 
-
-def test_expand_bracket_doubles_until_sign_change():
-    lo, hi, flo, fhi = expand_bracket_up(lambda k: k - 5.0, 1e-9, 1.0, cap=1e6)
-    assert flo < 0.0 <= fhi
-    assert lo < 5.0 <= hi
-
-
-def test_expand_bracket_respects_cap():
-    lo, hi, flo, fhi = expand_bracket_up(lambda k: k - 1e9, 1e-9, 1.0, cap=1e6)
-    assert hi == 1e6
-    assert fhi < 0.0
