@@ -283,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
             default=201,
             help="rows in the mechanism table (default 201)",
         )
-        p.add_argument("--tol-quad", type=float, help="override quadrature tolerance")
 
     common(sub.add_parser("solve-rs", help="optimal satisficing mechanism"), tau=True)
     common(sub.add_parser("solve-pp", help="optimal satisficing posted price"), tau=True)
@@ -299,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_p.add_argument("--out")
     cmp_p.add_argument("--table")
     cmp_p.add_argument("--table-points", type=int, default=201)
-    cmp_p.add_argument("--tol-quad", type=float)
 
     ev = sub.add_parser("evaluate", help="out-of-sample expected revenue")
     common(ev, tau=True, true=True)
@@ -334,7 +332,6 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    applied = _apply_tolerances(args)
     try:
         return _HANDLERS[args.command](args)
     except (InfeasibleTargetError, RadiusTooLargeError) as exc:
@@ -344,25 +341,6 @@ def run(argv=None) -> int:
         return _usage_error(str(exc))
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         return _usage_error(str(exc))
-    finally:
-        _restore_tolerances(applied)
-
-
-def _apply_tolerances(args):
-    from . import numerics
-
-    saved = {}
-    if getattr(args, "tol_quad", None):
-        saved["QUAD_TOL"] = numerics.QUAD_TOL
-        numerics.QUAD_TOL = args.tol_quad
-    return saved
-
-
-def _restore_tolerances(saved):
-    from . import numerics
-
-    for name, value in saved.items():
-        setattr(numerics, name, value)
 
 
 def main(argv=None) -> int:

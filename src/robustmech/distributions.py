@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import betainc
+from scipy.special import betainc, betaincinv
 
 from .errors import DomainError
 from .numerics import adaptive_simpson, golden_section_max, refine_crossing
@@ -261,6 +261,9 @@ class Beta(ValuationDistribution):
             return 0.0
         return self._partial_mean_integral(b) - self._partial_mean_integral(a)
 
+    def _quantile(self, us):
+        return betaincinv(self.alpha, self.beta, us)
+
     def to_json(self):
         return {"kind": "beta", "alpha": self.alpha, "beta": self.beta}
 
@@ -305,6 +308,17 @@ class Mixture(ValuationDistribution):
             pts.extend(c.kink_points())
         return tuple(sorted(set(pts)))
 
+    def sample(self, n, rng):
+        # pick each draw's component, then invert that component's CDF
+        which = np.searchsorted(np.cumsum(self.weights), rng.random(n), side="right")
+        which = np.minimum(which, len(self.components) - 1)
+        us = rng.random(n)
+        out = np.empty(n)
+        for j, c in enumerate(self.components):
+            sel = which == j
+            out[sel] = c._quantile(us[sel])
+        return out
+
     def to_json(self):
         return {
             "kind": "mixture",
@@ -319,7 +333,9 @@ class Empirical(ValuationDistribution):
 
     Atoms are deduplicated (masses merged for equal values) and sorted
     ascending at construction, so the left-limit logic can assume strictly
-    increasing values.
+    increasing values.  The CCDF steps and the prefix integrals of the CCDF
+    are built once there too, so a CCDF value or a partial integral costs one
+    binary search.
     """
 
     atoms: tuple[tuple[float, float], ...]
@@ -338,49 +354,68 @@ class Empirical(ValuationDistribution):
         total = sum(merged.values())
         if abs(total - 1.0) > 1e-9:
             raise DomainError(f"atom masses sum to {total}, expected 1")
-        object.__setattr__(
-            self,
-            "atoms",
-            tuple((v, merged[v] / total) for v in sorted(merged)),
-        )
+        atoms = tuple((v, merged[v] / total) for v in sorted(merged))
+        values = np.fromiter((v for v, _ in atoms), float, len(atoms))
+        masses = np.fromiter((m for _, m in atoms), float, len(atoms))
+        # step i covers [knots[i], knots[i+1]) at CCDF height tail[i]; the last
+        # step runs on from the largest atom, and ``steps`` keeps the nonempty
+        # steps up to it as (left, right, height) for the iso-revenue cut
+        knots = np.concatenate(([0.0], values))
+        cum = np.concatenate(([0.0], np.cumsum(masses)))
+        tail = 1.0 - cum
+        prefix = np.concatenate(([0.0], np.cumsum(np.diff(knots) * tail[:-1])))
+        nonempty = knots[1:] > knots[:-1]
+        steps = (knots[:-1][nonempty], knots[1:][nonempty], tail[:-1][nonempty])
+        for arr in (values, masses, cum, knots, tail, prefix, *steps):
+            arr.flags.writeable = False
+        for name, value in (
+            ("atoms", atoms),
+            ("_values", values),
+            ("_masses", masses),
+            ("_cum", cum),
+            ("_knots", knots),
+            ("_tail", tail),
+            ("_prefix", prefix),
+            ("_steps", steps),
+            # the caches keyed on distributions would rehash the atoms each call
+            ("_hash", hash((atoms,))),
+        ):
+            object.__setattr__(self, name, value)
 
-    @property
-    def _values(self) -> np.ndarray:
-        return np.asarray([v for v, _ in self.atoms])
-
-    @property
-    def _masses(self) -> np.ndarray:
-        return np.asarray([m for _, m in self.atoms])
+    def __hash__(self):
+        return self._hash
 
     def _ccdf(self, xs):
-        values = self._values
-        cum = np.concatenate(([0.0], np.cumsum(self._masses)))
-        idx = np.searchsorted(values, xs, side="right")
-        return 1.0 - cum[idx]
+        return self._tail[np.searchsorted(self._values, xs, side="right")]
 
     def _ccdf_left(self, xs):
-        values = self._values
-        cum = np.concatenate(([0.0], np.cumsum(self._masses)))
-        idx = np.searchsorted(values, xs, side="left")
-        return 1.0 - cum[idx]
+        return self._tail[np.searchsorted(self._values, xs, side="left")]
 
     def mean(self):
         return float(np.dot(self._values, self._masses))
 
+    def _integrals(self, a, b):
+        """Integrals of the CCDF over [a, b], elementwise for arrays a < b."""
+        knots, tail, prefix = self._knots, self._tail, self._prefix
+        last = len(knots) - 1
+        i = np.maximum(np.searchsorted(knots, a, side="right") - 1, 0)
+        j = np.maximum(np.searchsorted(knots, b, side="right") - 1, 0)
+        nxt = np.minimum(i + 1, last)
+        # partial steps at both ends plus the whole steps between them
+        spread = (knots[nxt] - a) * tail[i] + (prefix[j] - prefix[nxt]) + (b - knots[j]) * tail[j]
+        return np.where(i == j, (b - a) * tail[i], spread)
+
     def ccdf_integral(self, a, b):
         if b <= a:
             return 0.0
-        values = self._values
-        inner = values[(values > a) & (values < b)]
-        pts = np.concatenate(([a], inner, [b]))
-        mids = 0.5 * (pts[:-1] + pts[1:])
-        return float(np.dot(self._ccdf(mids), np.diff(pts)))
+        return float(self._integrals(a, b))
 
     def kink_points(self):
-        return tuple(float(v) for v in self._values if 0.0 < v < 1.0)
+        v = self._values
+        return tuple(v[(v > 0.0) & (v < 1.0)].tolist())
 
     def _quantile(self, us):
-        cum = np.cumsum(self._masses)
+        cum = self._cum[1:].copy()
         cum[-1] = 1.0
         idx = np.searchsorted(cum, us, side="left")
         return self._values[np.minimum(idx, len(self.atoms) - 1)]
@@ -451,8 +486,7 @@ def max_posted_revenue(dist: ValuationDistribution) -> tuple[float, float]:
     """
     if isinstance(dist, Empirical):
         values = dist._values
-        tail_from = 1.0 - np.concatenate(([0.0], np.cumsum(dist._masses)))[:-1]
-        revs = values * tail_from
+        revs = values * dist._tail[:-1]
         i = int(np.argmax(revs))
         return float(revs[i]), float(values[i])
     xs, g = _scan_grid(dist)
@@ -466,14 +500,56 @@ def max_posted_revenue(dist: ValuationDistribution) -> tuple[float, float]:
 
 
 def _union_breakpoints(p: ValuationDistribution, q: ValuationDistribution):
-    pts = {0.0, 1.0}
-    pts.update(p.kink_points())
-    pts.update(q.kink_points())
-    if isinstance(p, Empirical):
-        pts.update(float(v) for v in p._values)
-    if isinstance(q, Empirical):
-        pts.update(float(v) for v in q._values)
-    return sorted(x for x in pts if 0.0 <= x <= 1.0)
+    parts = [[0.0, 1.0], p.kink_points(), q.kink_points()]
+    parts += [d._values for d in (p, q) if isinstance(d, Empirical)]
+    pts = np.unique(np.concatenate(parts))
+    return pts[(pts >= 0.0) & (pts <= 1.0)]
+
+
+def _step_crossings(p, p0, breaks) -> list[float]:
+    """Sign changes of ccdf_p - ccdf_p0 when exactly one side is empirical.
+
+    Between consecutive breakpoints the empirical CCDF is constant and the
+    other one nonincreasing, so the difference is monotone there: a segment
+    holds a crossing exactly when the signs at its two ends differ.
+    """
+    a, b = breaks[:-1], breaks[1:]
+    keep = b - a > 1e-15
+    a, b = a[keep], b[keep]
+    emp, other, sign = (p, p0, 1.0) if isinstance(p, Empirical) else (p0, p, -1.0)
+    level = emp._ccdf(a)
+    # the difference just right of a and just left of b (the step holds until b)
+    d_a = sign * (level - other._ccdf(a))
+    d_b = sign * (level - other._ccdf(b))
+    crossings = []
+    for j in np.flatnonzero((d_a >= 0.0) != (d_b >= 0.0)):
+        def diff(x, lv=float(level[j])):
+            return sign * (lv - float(other._ccdf(np.asarray(x))))
+
+        crossings.append(
+            refine_crossing(diff, float(a[j]), float(b[j]), flo=float(d_a[j]), fhi=float(d_b[j]))
+        )
+    return crossings
+
+
+def _scanned_crossings(p, p0, breaks) -> list[float]:
+    """Sign changes of ccdf_p - ccdf_p0 between two continuous CCDFs: a dense
+    scan of each segment, refined by bisection."""
+    def diff(x: float) -> float:
+        return float(p._ccdf(np.asarray(x)) - p0._ccdf(np.asarray(x)))
+
+    crossings: list[float] = []
+    for a, b in zip(breaks[:-1], breaks[1:]):
+        if b - a <= 1e-15:
+            continue
+        xs = np.linspace(a, b, 4097)
+        d = p._ccdf(xs) - p0._ccdf(xs)
+        # binary sign so exact zeros at a crossing still register a flip
+        sign = np.where(d >= 0.0, 1, -1)
+        flips = np.flatnonzero((sign[1:] * sign[:-1]) < 0)
+        for j in flips:
+            crossings.append(refine_crossing(diff, float(xs[j]), float(xs[j + 1])))
+    return crossings
 
 
 def wasserstein_distance(
@@ -481,32 +557,25 @@ def wasserstein_distance(
 ) -> float:
     """Type-1 Wasserstein distance: the integral of |ccdf_p - ccdf_p0| on [0, 1].
 
-    Piecewise exact: segments of constant sign are integrated via the CCDF
-    partial integrals; sign changes between the known breakpoints are located
-    by a dense scan refined with bisection.
+    Piecewise exact: each run of constant sign between breakpoints and
+    crossings is integrated via the CCDF partial integrals.  Crossings are
+    read off the segment ends when one side is empirical, and located by a
+    dense scan refined with bisection when both are continuous.
     """
-    def diff(x: float) -> float:
-        return float(p._ccdf(np.asarray(x)) - p0._ccdf(np.asarray(x)))
-
     breaks = _union_breakpoints(p, p0)
-    crossings: list[float] = []
-    both_discrete = isinstance(p, Empirical) and isinstance(p0, Empirical)
-    if not both_discrete:
-        for a, b in zip(breaks[:-1], breaks[1:]):
-            if b - a <= 1e-15:
-                continue
-            xs = np.linspace(a, b, 4097)
-            d = p._ccdf(xs) - p0._ccdf(xs)
-            # binary sign so exact zeros at a crossing still register a flip
-            sign = np.where(d >= 0.0, 1, -1)
-            flips = np.flatnonzero((sign[1:] * sign[:-1]) < 0)
-            for j in flips:
-                crossings.append(refine_crossing(diff, float(xs[j]), float(xs[j + 1])))
-    pts = sorted(set(breaks) | set(crossings))
+    if isinstance(p, Empirical) and isinstance(p0, Empirical):
+        crossings = []
+    elif isinstance(p, Empirical) or isinstance(p0, Empirical):
+        crossings = _step_crossings(p, p0, breaks)
+    else:
+        crossings = _scanned_crossings(p, p0, breaks)
+    pts = np.unique(np.concatenate((breaks, crossings)))
+    mids = 0.5 * (pts[:-1] + pts[1:])
+    above = p._ccdf(mids) - p0._ccdf(mids) >= 0.0
+    flips = np.flatnonzero(above[1:] != above[:-1]) + 1
+    ends = pts[np.concatenate(([0], flips, [len(above)]))].tolist()
     total = 0.0
-    for a, b in zip(pts[:-1], pts[1:]):
-        if b - a <= 0.0:
-            continue
-        s = 1.0 if diff(0.5 * (a + b)) >= 0.0 else -1.0
+    for a, b, up in zip(ends[:-1], ends[1:], above[np.concatenate(([0], flips))]):
+        s = 1.0 if up else -1.0
         total += s * (p.ccdf_integral(a, b) - p0.ccdf_integral(a, b))
     return max(total, 0.0)

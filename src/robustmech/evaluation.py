@@ -56,15 +56,24 @@ PREFERENCE_DEAD_BAND = 1e-10
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Expected revenue of one mechanism under one true distribution."""
+    """Expected revenue of one mechanism under one true distribution.
+
+    The true distribution is kept as the object itself and rendered to JSON
+    only on demand, so a report costs the same for a 10^5-atom sample as for
+    a Beta truth.
+    """
 
     mechanism_id: str
-    true_dist: dict
+    truth: ValuationDistribution
     expected_revenue: float
     method: str
     mc_n: int | None = None
     seed: int | None = None
     standard_error: float | None = None
+
+    @property
+    def true_dist(self) -> dict:
+        return self.truth.to_json()
 
     def to_json(self) -> dict:
         return {
@@ -84,7 +93,7 @@ def _exact_expected_revenue(mech: Mechanism, p: ValuationDistribution) -> float:
             return 0.0
         return mech.price * p.ccdf_left(mech.price)
     if isinstance(p, Empirical):
-        return math.fsum(m * mech.payment(v) for v, m in p.atoms)
+        return math.fsum(p._masses * mech.payment(p._values))
     # the payment is continuous piecewise linear with slope k on the menu
     # intervals, so E[m] collapses to CCDF partial integrals of the truth
     return mech.slope * math.fsum(
@@ -103,7 +112,7 @@ def expected_revenue(
     """E_P[m(v)]: exact piecewise integration or seeded inverse-CDF sampling."""
     if method == "quadrature":
         value = _exact_expected_revenue(mech, p)
-        return EvalReport(mech.describe(), p.to_json(), value, "quadrature")
+        return EvalReport(mech.describe(), p, value, "quadrature")
     if method == "monte_carlo":
         rng = np.random.default_rng(seed)
         draws = p.sample(mc_n, rng)
@@ -111,7 +120,7 @@ def expected_revenue(
         value = float(np.mean(pays))
         se = float(np.std(pays) / math.sqrt(mc_n))
         return EvalReport(
-            mech.describe(), p.to_json(), value, "monte_carlo", mc_n, seed, se
+            mech.describe(), p, value, "monte_carlo", mc_n, seed, se
         )
     raise DomainError(f"unknown evaluation method {method!r}")
 

@@ -79,38 +79,25 @@ def _empirical_regions(dist: Empirical, pi: float):
     """Exact interval arithmetic on the CCDF steps of an empirical reference.
 
     On a step of height L the crossing of the iso-revenue curve is x = pi/L;
-    intervals are merged through an atom only when the curve passes strictly
-    below the step there, matching the half-open [u, w) convention.
+    a step lies in the cut from max(left end, pi/L) when that is below its
+    right end.  A step joins the interval of the previous cut step when the
+    two touch at an atom and the curve passes strictly below the step there,
+    matching the half-open [u, w) convention; when the crossing lands on the
+    atom itself the intervals stay separate and the atom is a tie point.
     """
-    values = [v for v, _ in dist.atoms]
-    masses = [m for _, m in dist.atoms]
-    remaining = 1.0
-    segments = []  # (left, right, CCDF level) pieces of the step function
-    prev = 0.0
-    for v, m in zip(values, masses):
-        if v > prev:
-            segments.append((prev, v, remaining))
-        remaining -= m
-        prev = v
-    intervals: list[tuple[float, float]] = []
-    ties: list[float] = []
-    for a, b, level in segments:
-        if level <= 0.0:
-            continue
-        crossing = pi / level
-        if crossing >= b:
-            continue
-        lo = max(a, crossing)
-        if intervals and lo <= a + _TIE_BAND:
-            prev_u, prev_w = intervals[-1]
-            if abs(prev_w - a) <= _TIE_BAND:
-                if crossing < a - _TIE_BAND:
-                    intervals[-1] = (prev_u, b)
-                    continue
-                # crossing lands exactly on the atom: keep intervals separate
-                ties.append(a)
-        intervals.append((lo, b))
-    return intervals, ties
+    a, b, height = dist._steps
+    with np.errstate(divide="ignore"):
+        crossing = pi / height
+    on = np.flatnonzero((height > 0.0) & (crossing < b))
+    a, b, crossing = a[on], b[on], crossing[on]
+    lo = np.maximum(a, crossing)
+    touch = np.zeros(len(on), dtype=bool)
+    touch[1:] = (lo[1:] <= a[1:] + _TIE_BAND) & (np.abs(b[:-1] - a[1:]) <= _TIE_BAND)
+    join = touch & (crossing < a - _TIE_BAND)
+    starts = np.flatnonzero(~join)
+    ends = np.flatnonzero(~np.append(join, False)[1:])
+    intervals = list(zip(lo[starts].tolist(), b[ends].tolist()))
+    return intervals, a[touch & ~join].tolist()
 
 
 def _continuous_regions(dist: ValuationDistribution, pi: float):

@@ -5,8 +5,8 @@ derivatives are kinked at interval-count transitions, so plain bisection is
 used throughout (never derivative-based steps).  A bisection stops at an
 exact zero or once the bracket is no wider than xtol; the level searches pass
 xtol = 0, which runs until the bracket collapses to adjacent floats.
-Tolerances are fixed at import; only the quadrature tolerance QUAD_TOL is
-read at call time.
+The tolerances below are plain defaults of the function arguments; nothing
+here reads module state at call time.
 """
 
 from __future__ import annotations
@@ -147,18 +147,15 @@ def adaptive_simpson(
     a: float,
     b: float,
     *,
-    tol: float | None = None,
+    tol: float = QUAD_TOL,
     max_depth: int = QUAD_MAX_DEPTH,
     split_points: Sequence[float] = (),
 ) -> float:
     """Adaptive Simpson quadrature of ``f`` on [a, b].
 
     Known kink locations should be passed as ``split_points``; the integrand
-    is assumed smooth between consecutive splits.  The tolerance defaults to
-    the module-level QUAD_TOL, read at call time.
+    is assumed smooth between consecutive splits.
     """
-    if tol is None:
-        tol = QUAD_TOL
     if b <= a:
         return 0.0
     pts = [a] + sorted(p for p in split_points if a < p < b) + [b]

@@ -12,7 +12,7 @@ of the single-interval iso-revenue cut [u, w] with w/u = (k+1)/k, so both
 searches run over the cut level c, in log(c): for a given k, c solves
 ln(w/u) = ln((k+1)/k); for a target tau, c solves
 rho_pp = u/(w - u) * int_u^w ccdf = tau, with p = u and k = u/(w - u).
-Other references (empirical, irregular, or a cut that splits) bisect k
+Other references (empirical, irregular, or a cut that splits) bisect log k
 directly, pricing each k by exact candidates or a concavity-backed scan.
 """
 
@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .distributions import Empirical, ValuationDistribution, max_posted_revenue
 from .errors import DomainError, InfeasibleTargetError
@@ -72,21 +74,11 @@ def rho_pp(dist: ValuationDistribution, p: float, k: float) -> float:
         raise DomainError(f"fragility must be positive, got {k!r}")
     if p == 0.0:
         return 0.0
-    if isinstance(dist, Empirical):
-        return math.fsum(
-            m * min(k * max(v - p, 0.0), p) for v, m in dist.atoms
-        )
     # the integrand is continuous piecewise linear in v with slope k on
     # [p, (1+1/k) p], so the expectation reduces to a CCDF partial integral
+    # (for atoms as well as densities)
     upper = min((1.0 + 1.0 / k) * p, 1.0)
     return k * dist.ccdf_integral(p, upper)
-
-
-def _pp_candidates(dist: Empirical, k: float) -> list[float]:
-    scale = k / (k + 1.0)
-    cands = {scale * v for v, _ in dist.atoms}
-    cands.update(v for v, _ in dist.atoms)
-    return [c for c in cands if 0.0 < c <= 1.0]
 
 
 def _regular_cut(dist: ValuationDistribution, excess):
@@ -134,8 +126,13 @@ def optimal_price_given_k(dist: ValuationDistribution, k: float) -> float:
     if not k > 0.0:
         raise DomainError(f"fragility must be positive, got {k!r}")
     if isinstance(dist, Empirical):
-        cands = _pp_candidates(dist, k)
-        return max(cands, key=lambda p: rho_pp(dist, p, k))
+        # rho_pp is piecewise linear in p with kinks at the atoms and at
+        # k/(k+1) times the atoms, so its maximum sits on one of them
+        values = dist._values
+        cands = np.unique(np.concatenate((k / (k + 1.0) * values, values)))
+        cands = cands[(cands > 0.0) & (cands <= 1.0)]
+        revs = k * dist._integrals(cands, np.minimum((1.0 + 1.0 / k) * cands, 1.0))
+        return float(cands[np.argmax(revs)])
     if dist.is_regular:
         # price ratio w/u = (k+1)/k; the ratio falls to 1 at the tangency
         target = math.log((k + 1.0) / k)
@@ -159,15 +156,21 @@ def solve_pp(dist: ValuationDistribution, tau: float) -> PPSolveReport:
         (u, w), it = found
         p, k_pp = u, u / (w - u)
     else:
-        def f(k: float) -> float:
+        def f(t: float) -> float:
+            k = math.exp(t)
             return rho_pp(dist, optimal_price_given_k(dist, k), k) - tau
 
         # rho_pp*(k) <= k * mean, and pricing at k/(k+1) * p0 earns
-        # k/(k+1) * pi0, so the root lies in [tau/mean, tau/(pi0 - tau)]
+        # k/(k+1) * pi0, so the root lies in [tau/mean, tau/(pi0 - tau)];
+        # bisecting log k bounds the relative error of k at every scale
         res = bisect_root(
-            f, tau / dist.mean(), tau / (pi0 - tau), flo=-math.inf, fhi=math.inf
+            f,
+            math.log(tau / dist.mean()),
+            math.log(tau / (pi0 - tau)),
+            flo=-math.inf,
+            fhi=math.inf,
         )
-        k_pp, it = res.root, res.iterations
+        k_pp, it = math.exp(res.root), res.iterations
         p = optimal_price_given_k(dist, k_pp)
     rho = rho_pp(dist, p, k_pp)
     return PPSolveReport(
@@ -204,7 +207,9 @@ def solve_pp_two_point(
         warnings.append("target sits on a fragility branch boundary")
     if tau <= low_branch_edge:
         disc = (mu0 - tau) ** 2 - 4.0 * a1 * tau * (v2 - v1)
-        k = (mu0 - tau - math.sqrt(max(disc, 0.0))) / (2.0 * a1 * (v2 - v1))
+        # the smaller root of a1 (v2 - v1) k^2 - (mu0 - tau) k + tau = 0,
+        # written without the cancellation of mu0 - tau - sqrt(disc)
+        k = 2.0 * tau / (mu0 - tau + math.sqrt(max(disc, 0.0)))
         p = k / (k + 1.0) * v2
     elif v1 <= (1.0 - a1) * v2:
         k = tau / ((1.0 - a1) * v2 - tau)

@@ -6,6 +6,8 @@ grids, payments from Riemann-Stieltjes sums against the allocation, so each
 check pits two genuinely different computations against each other.
 """
 
+import math
+
 import numpy as np
 
 from robustmech import Empirical
@@ -73,6 +75,64 @@ def random_empirical(rng: np.random.Generator, max_atoms: int = 10) -> Empirical
     masses = rng.random(n) + 0.05
     masses = masses / masses.sum()
     return Empirical(tuple(zip(values.tolist(), masses.tolist())))
+
+
+def atom_ccdf(p: Empirical, x: float) -> float:
+    """P(v > x) summed atom by atom."""
+    return math.fsum(m for v, m in p.atoms if v > x)
+
+
+def midpoint_ccdf_integral(p: Empirical, a: float, b: float) -> float:
+    """Integral of the CCDF over [a, b]: exact midpoint sum between atoms."""
+    pts = [a] + [v for v, _ in p.atoms if a < v < b] + [b]
+    return math.fsum(
+        (hi - lo) * atom_ccdf(p, 0.5 * (lo + hi)) for lo, hi in zip(pts[:-1], pts[1:])
+    )
+
+
+def atom_rho_pp(p: Empirical, price: float, k: float) -> float:
+    """E[min{price, k (v - price)^+}] summed atom by atom."""
+    return math.fsum(m * min(k * max(v - price, 0.0), price) for v, m in p.atoms)
+
+
+def atom_best_posted(p: Empirical, k: float) -> float:
+    """Largest fragility-adjusted posted revenue over every candidate price
+    (the atoms and k/(k+1) times the atoms)."""
+    cands = {v for v, _ in p.atoms} | {k / (k + 1.0) * v for v, _ in p.atoms}
+    return max(atom_rho_pp(p, c, k) for c in cands if 0.0 < c <= 1.0)
+
+
+def loop_empirical_regions(p: Empirical, pi: float, band: float = 1e-12):
+    """Cut intervals and tie points of an empirical reference, one step at a
+    time: the step of height L enters at max(left end, pi/L); it extends the
+    previous interval through a shared atom only when pi/L is more than
+    ``band`` below that atom, and records the atom as a tie otherwise."""
+    remaining = 1.0
+    segments = []
+    prev = 0.0
+    for v, m in p.atoms:
+        if v > prev:
+            segments.append((prev, v, remaining))
+        remaining -= m
+        prev = v
+    intervals: list[tuple[float, float]] = []
+    ties: list[float] = []
+    for a, b, level in segments:
+        if level <= 0.0:
+            continue
+        crossing = pi / level
+        if crossing >= b:
+            continue
+        lo = max(a, crossing)
+        if intervals and lo <= a + band:
+            prev_u, prev_w = intervals[-1]
+            if abs(prev_w - a) <= band:
+                if crossing < a - band:
+                    intervals[-1] = (prev_u, b)
+                    continue
+                ties.append(a)
+        intervals.append((lo, b))
+    return intervals, ties
 
 
 def skewness_se(n: int) -> float:

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from robustmech import from_json
-from robustmech.cli import main
+from robustmech.cli import EXIT_USAGE, build_parser, main
 
 UNIFORM = '{"kind":"uniform"}'
 TWO_POINT = '{"kind":"empirical","atoms":[[0.3,0.5],[0.7,0.5]]}'
@@ -66,12 +66,12 @@ class TestSolveRs:
         assert a.read_bytes() == b.read_bytes()
 
     def test_tolerance_overrides_accepted(self, capsys):
-        code, stdout, _ = run_cli(
-            capsys, "solve-rs", "--reference", UNIFORM, "--tau", "0.2",
-            "--tol-quad", "1e-8",
-        )
-        assert code == 0
-        assert json.loads(stdout)["k_star"] == pytest.approx(0.563, abs=0.001)
+        # tolerances are fixed defaults; the old quadrature override is gone
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(
+                ["solve-rs", "--reference", UNIFORM, "--tau", "0.2", "--tol-quad", "1e-8"]
+            )
+        assert exc.value.code == EXIT_USAGE
 
     def test_report_reference_reparses(self, capsys, tmp_path):
         out = tmp_path / "rep.json"

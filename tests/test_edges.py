@@ -7,9 +7,13 @@ with scipy's brentq rather than the library's cuts and searches:
 * RS: rho*(k) = (k/2) tanh(1/(2k)) = tau;
 * PP: k = 2 tau / (1 - 4 tau), p = 2 tau;
 * RO: gap(pi) = s/2 - pi ln((1+s)^2 / (4 pi)) = r with s = sqrt(1 - 4 pi).
+
+The two-atom posted-price fragility at tiny targets is checked against the
+smaller root of its quadratic, evaluated in 60-digit decimal arithmetic.
 """
 
 import math
+from decimal import Decimal, localcontext
 
 import pytest
 from scipy.optimize import brentq
@@ -25,6 +29,7 @@ from robustmech import (
     pi_ro_star,
     solve,
     solve_pp,
+    solve_pp_two_point,
     solve_ro,
 )
 
@@ -70,6 +75,37 @@ def test_pp_relative_accuracy(frac):
     rep = solve_pp(Uniform(), tau)
     assert rel_err(rep.k_pp, 2.0 * tau / (1.0 - 4.0 * tau)) <= 1e-9
     assert rel_err(rep.p_pp, 2.0 * tau) <= 1e-9
+
+
+TWO_POINT = (0.3, 0.5, 0.7, 0.5)
+
+
+def two_point_low_k(tau: float) -> float:
+    """Smaller root of a1 (v2 - v1) k^2 - (mu0 - tau) k + tau = 0 (the
+    low-target branch), in 60-digit decimals."""
+    v1, a1, v2, a2 = (Decimal(x) for x in TWO_POINT)
+    t = Decimal(tau)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        a = a1 * (v2 - v1)
+        b = a1 * v1 + a2 * v2 - t
+        return float((b - (b * b - 4 * a * t).sqrt()) / (2 * a))
+
+
+@pytest.mark.parametrize("tau", [1e-12, 1e-9, 1e-6])
+def test_two_point_closed_form_relative_accuracy(tau):
+    k = two_point_low_k(tau)
+    if tau == 1e-12:
+        assert k == pytest.approx(2.0000000000056e-12, rel=1e-13)
+    assert rel_err(solve_pp_two_point(*TWO_POINT, tau).k_pp, k) <= 1e-12
+
+
+@pytest.mark.parametrize("tau", [1e-12, 1e-9, 1e-6])
+def test_pp_fallback_relative_accuracy(tau):
+    # the two-atom reference takes the generic (non-regular) k bisection
+    v1, a1, v2, a2 = TWO_POINT
+    rep = solve_pp(Empirical(((v1, a1), (v2, a2))), tau)
+    assert rel_err(rep.k_pp, two_point_low_k(tau)) <= 1e-9
 
 
 @pytest.mark.parametrize("r", [1e-12, 0.2 * MEAN, 0.8 * MEAN, (1.0 - 1e-6) * MEAN])

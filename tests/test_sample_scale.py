@@ -1,0 +1,166 @@
+"""Array kernels behind empirical references and closed-form sampling,
+checked against the atom-by-atom oracles in ``helpers``.
+
+Empirical CCDF integrals, fragility-adjusted posted revenues and cut
+intervals are compared with sums and loops over the atoms; the Wasserstein
+distance from a sample to a Beta law with a dense trapezoid grid; Beta draws
+with the bisection quantile every distribution inherits; mixture draws with
+the mixture mean.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from helpers import (
+    atom_best_posted,
+    atom_rho_pp,
+    loop_empirical_regions,
+    midpoint_ccdf_integral,
+    random_empirical,
+    trapezoid_ccdf_distance,
+)
+from robustmech import (
+    Beta,
+    Empirical,
+    Mixture,
+    Power,
+    ValuationDistribution,
+    cut,
+    max_posted_revenue,
+    optimal_price_given_k,
+    rho_pp,
+    wasserstein_distance,
+)
+
+TANGENCY_WIDTH = 1e-9
+
+
+def _references(seed: int, count: int, max_atoms: int):
+    rng = np.random.default_rng(seed)
+    return [random_empirical(rng, max_atoms) for _ in range(count)], rng
+
+
+def test_ccdf_integral_matches_midpoint_sum():
+    refs, rng = _references(11, 40, 60)
+    for ref in refs:
+        atoms = [v for v, _ in ref.atoms]
+        ends = np.concatenate((rng.random(6), rng.choice(atoms, 4), [0.0, 1.0]))
+        for a in ends:
+            for b in ends:
+                if a < b:
+                    assert ref.ccdf_integral(float(a), float(b)) == pytest.approx(
+                        midpoint_ccdf_integral(ref, float(a), float(b)), abs=1e-12
+                    )
+
+
+def test_rho_pp_and_best_price_match_atom_sums():
+    refs, rng = _references(12, 25, 300)
+    for ref in refs:
+        for k in (1e-3, 0.2, 1.0, 7.5):
+            prices = np.concatenate((rng.random(5), [v for v, _ in ref.atoms][:5]))
+            for p in prices:
+                assert rho_pp(ref, float(p), k) == pytest.approx(
+                    atom_rho_pp(ref, float(p), k), abs=1e-12
+                )
+            best = atom_best_posted(ref, k)
+            price = optimal_price_given_k(ref, k)
+            assert atom_rho_pp(ref, price, k) == pytest.approx(best, abs=1e-12)
+
+
+def _expected_cut(ref: Empirical, pi: float):
+    raw, ties = loop_empirical_regions(ref, pi)
+    return [(u, w) for u, w in raw if w - u >= TANGENCY_WIDTH], ties
+
+
+def _assert_same_cut(ref: Empirical, pi: float):
+    intervals, ties = _expected_cut(ref, pi)
+    c = cut(ref, pi)
+    assert len(c.intervals) == len(intervals)
+    for (u, w), (eu, ew) in zip(c.intervals, intervals):
+        assert u == pytest.approx(eu, abs=1e-12)
+        assert w == pytest.approx(ew, abs=1e-12)
+    assert list(c.tie_points) == pytest.approx(ties, abs=1e-12)
+
+
+def test_cut_matches_atom_loop():
+    refs, rng = _references(13, 60, 40)
+    for ref in refs:
+        pi0, _ = max_posted_revenue(ref)
+        for pi in np.concatenate((rng.random(8) * pi0, [pi0, 1e-300])):
+            _assert_same_cut(ref, float(pi))
+
+
+def test_cut_ties_match_atom_loop():
+    # levels at which the iso-revenue curve meets a step exactly at its atom
+    refs, _ = _references(14, 40, 12)
+    ties_seen = 0
+    for ref in refs:
+        pi0, _ = max_posted_revenue(ref)
+        remaining = 1.0
+        for v, m in ref.atoms[:-1]:
+            remaining -= m
+            pi = v * remaining
+            if 0.0 < pi <= pi0:
+                _assert_same_cut(ref, pi)
+                ties_seen += len(_expected_cut(ref, pi)[1])
+    assert ties_seen > 0
+
+
+def test_cut_on_a_large_sample_matches_atom_loop():
+    rng = np.random.default_rng(15)
+    values = rng.beta(2.0, 5.0, size=20_000)
+    ref = Empirical(tuple((float(v), 1.0 / len(values)) for v in values))
+    pi0, _ = max_posted_revenue(ref)
+    for frac in (0.05, 0.45, 0.95, 0.999):
+        _assert_same_cut(ref, frac * pi0)
+
+
+@pytest.mark.parametrize("n", [1, 7, 300])
+@pytest.mark.parametrize(
+    "truth",
+    [Beta(2.0, 5.0), Beta(0.5, 0.5), Mixture((Beta(2.0, 10.0), Beta(10.0, 2.0)), (0.85, 0.15))],
+    ids=["beta2_5", "beta.5_.5", "mixture"],
+)
+def test_wasserstein_sample_to_continuous_against_dense_grid(n, truth):
+    rng = np.random.default_rng(16 + n)
+    values = rng.beta(2.0, 5.0, size=n)
+    ref = Empirical(tuple((float(v), 1.0 / n) for v in values))
+    oracle = trapezoid_ccdf_distance(ref.ccdf, truth.ccdf)
+    assert wasserstein_distance(ref, truth) == pytest.approx(oracle, abs=2e-6)
+    assert wasserstein_distance(truth, ref) == pytest.approx(oracle, abs=2e-6)
+
+
+@pytest.mark.parametrize("shape", [(2.0, 5.0), (0.5, 0.5), (10.0, 2.0), (1.0, 1.0)])
+def test_beta_draws_match_bisection_quantile(shape):
+    dist = Beta(*shape)
+    us = np.random.default_rng(17).random(20_000)
+    closed = dist.sample(len(us), np.random.default_rng(17))
+    bisected = ValuationDistribution._quantile(dist, us)
+    assert np.max(np.abs(closed - bisected)) <= 3e-12
+
+
+@pytest.mark.parametrize(
+    "mixture",
+    [
+        Mixture((Beta(2.0, 10.0), Beta(10.0, 2.0)), (0.85, 0.15)),
+        Mixture((Beta(0.5, 0.5), Power(3.0), Beta(4.0, 4.0)), (0.2, 0.5, 0.3)),
+    ],
+    ids=["bimodal", "three"],
+)
+def test_mixture_sample_mean(mixture):
+    n = 200_000
+    draws = mixture.sample(n, np.random.default_rng(18))
+    assert draws.shape == (n,)
+    assert np.all((draws >= 0.0) & (draws <= 1.0))
+    se = float(np.std(draws)) / math.sqrt(n)
+    assert abs(float(np.mean(draws)) - mixture.mean()) <= 4.0 * se
+
+
+def test_empirical_hash_and_equality_follow_atoms():
+    a = Empirical(((0.7, 0.5), (0.3, 0.5)))
+    b = Empirical(((0.3, 0.5), (0.7, 0.5)))
+    assert a == b
+    assert hash(a) == hash(b) == hash((a.atoms,))
+    assert a.to_json() == {"kind": "empirical", "atoms": [[0.3, 0.5], [0.7, 0.5]]}
