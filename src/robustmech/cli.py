@@ -184,18 +184,17 @@ def _cmd_compare(args) -> int:
 def _cmd_evaluate(args) -> int:
     ref = _load_dist(args.reference)
     truth = _load_dist(args.true)
-    rs_rep = rs_solver.solve(ref, args.tau)
-    pp_rep = pp_solver.solve_pp(ref, args.tau)
-    reports = {
-        "rs_opt": evaluation.expected_revenue(rs_rep.mechanism, truth).to_json(),
-        "rs_pp": evaluation.expected_revenue(pp_rep.mechanism, truth).to_json(),
-    }
+    opt = rs_solver.solve(ref, args.tau).mechanism
+    pp = pp_solver.solve_pp(ref, args.tau).mechanism
+    rs_opt = evaluation.expected_revenue(opt, truth)
+    rs_pp = evaluation.expected_revenue(pp, truth)
+    reports = {"rs_opt": rs_opt.to_json(), "rs_pp": rs_pp.to_json()}
     if args.mc_n:
         reports["rs_opt_mc"] = evaluation.expected_revenue(
-            rs_rep.mechanism, truth, "monte_carlo", mc_n=args.mc_n, seed=args.seed
+            opt, truth, "monte_carlo", mc_n=args.mc_n, seed=args.seed
         ).to_json()
         reports["rs_pp_mc"] = evaluation.expected_revenue(
-            pp_rep.mechanism, truth, "monte_carlo", mc_n=args.mc_n, seed=args.seed
+            pp, truth, "monte_carlo", mc_n=args.mc_n, seed=args.seed
         ).to_json()
     out = _base_report("evaluate", args)
     out.update(
@@ -203,7 +202,7 @@ def _cmd_evaluate(args) -> int:
             "tau": args.tau,
             "true_dist": truth.to_json(),
             "reports": reports,
-            "eta_rs": evaluation.eta_rs(ref, args.tau, truth),
+            "eta_rs": evaluation.revenue_ratio(rs_pp.expected_revenue, rs_opt.expected_revenue),
         }
     )
     _emit(out, args.out)

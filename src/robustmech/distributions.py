@@ -5,6 +5,10 @@ the complementary CDF (right tail), its left limit, the mean, the partial
 integral of the CCDF, and inverse-CDF sampling.  Reference and true valuation
 distributions share the same representation.
 
+The primitives are ``_ccdf(xs)`` and ``_integrals(a, b)``, the CCDF integral
+over [a, b] elementwise: each family writes its closed form once, and scalars
+and arrays go through the same expression.
+
 All distribution objects are immutable after construction and every operation
 is a pure function, so instances are safe for concurrent use.
 """
@@ -91,15 +95,20 @@ class ValuationDistribution:
         return self.ccdf_integral(0.0, 1.0)
 
     def ccdf_integral(self, a: float, b: float) -> float:
-        """Integral of the CCDF over [a, b] (analytic where available)."""
-        if b <= a:
-            return 0.0
-        return adaptive_simpson(
-            lambda t: float(self._ccdf(np.asarray(t))),
-            a,
-            b,
-            split_points=self.kink_points(),
-        )
+        """Integral of the CCDF over [a, b]; zero when b <= a."""
+        return 0.0 if b <= a else float(self._integrals(a, b))
+
+    def _integrals(self, a, b):
+        """Integrals of the CCDF over [a, b], elementwise for a <= b: each family's
+        closed form, or here adaptive Simpson once per element."""
+        def one(lo, hi):
+            return adaptive_simpson(
+                lambda t: float(self._ccdf(np.asarray(t))), lo, hi, split_points=self.kink_points()
+            )
+
+        if np.ndim(a) == np.ndim(b) == 0:
+            return one(a, b)
+        return np.vectorize(one, otypes=[float])(a, b)
 
     def kink_points(self) -> tuple[float, ...]:
         """Interior points where the CCDF is non-smooth (atoms, mixture seams)."""
@@ -147,9 +156,7 @@ class Uniform(ValuationDistribution):
     def mean(self):
         return 0.5
 
-    def ccdf_integral(self, a, b):
-        if b <= a:
-            return 0.0
+    def _integrals(self, a, b):
         return (b - a) - 0.5 * (b * b - a * a)
 
     def _quantile(self, us):
@@ -177,9 +184,7 @@ class Power(ValuationDistribution):
     def mean(self):
         return self.alpha / (self.alpha + 1.0)
 
-    def ccdf_integral(self, a, b):
-        if b <= a:
-            return 0.0
+    def _integrals(self, a, b):
         ap1 = self.alpha + 1.0
         return (b - a) - (b**ap1 - a**ap1) / ap1
 
@@ -213,11 +218,10 @@ class TruncatedExponential(ValuationDistribution):
         lam = self.rate
         return 1.0 / lam - math.exp(-lam) / self._z
 
-    def ccdf_integral(self, a, b):
-        if b <= a:
-            return 0.0
+    def _integrals(self, a, b):
         lam = self.rate
-        core = (math.exp(-lam * a) - math.exp(-lam * b)) / lam
+        # exp(-lam a) - exp(-lam b) without the cancellation as b -> a
+        core = -np.exp(-lam * a) * np.expm1(-lam * (b - a)) / lam
         return (core - math.exp(-lam) * (b - a)) / self._z
 
     def _quantile(self, us):
@@ -249,16 +253,14 @@ class Beta(ValuationDistribution):
     def mean(self):
         return self.alpha / (self.alpha + self.beta)
 
-    def _partial_mean_integral(self, x: float) -> float:
+    def _partial_mean_integral(self, x):
         # integral of the CCDF from 0 to x:
         #   x * ccdf(x) + mean * I_x(alpha + 1, beta)
-        return x * float(1.0 - betainc(self.alpha, self.beta, x)) + self.mean() * float(
-            betainc(self.alpha + 1.0, self.beta, x)
+        return x * (1.0 - betainc(self.alpha, self.beta, x)) + self.mean() * betainc(
+            self.alpha + 1.0, self.beta, x
         )
 
-    def ccdf_integral(self, a, b):
-        if b <= a:
-            return 0.0
+    def _integrals(self, a, b):
         return self._partial_mean_integral(b) - self._partial_mean_integral(a)
 
     def _quantile(self, us):
@@ -295,12 +297,8 @@ class Mixture(ValuationDistribution):
     def mean(self):
         return sum(w * c.mean() for w, c in zip(self.weights, self.components))
 
-    def ccdf_integral(self, a, b):
-        if b <= a:
-            return 0.0
-        return sum(
-            w * c.ccdf_integral(a, b) for w, c in zip(self.weights, self.components)
-        )
+    def _integrals(self, a, b):
+        return sum(w * c._integrals(a, b) for w, c in zip(self.weights, self.components))
 
     def kink_points(self):
         pts: list[float] = []
@@ -341,22 +339,39 @@ class Empirical(ValuationDistribution):
     atoms: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        merged: dict[float, float] = {}
-        for v, m in self.atoms:
-            v = float(v)
-            m = float(m)
-            if not -1e-12 <= v <= 1.0 + 1e-12:
-                raise DomainError(f"atom value {v} outside [0, 1]")
-            if not m > 0.0:
-                raise DomainError(f"atom mass must be positive, got {m}")
-            v = min(max(v, 0.0), 1.0)
-            merged[v] = merged.get(v, 0.0) + m
-        total = sum(merged.values())
+        pairs = np.array(self.atoms, dtype=float).reshape(-1, 2)
+        self._build(pairs[:, 0], pairs[:, 1])
+
+    @classmethod
+    def from_samples(cls, values) -> "Empirical":
+        """Empirical distribution of the samples, each sample with mass 1/n."""
+        values = np.asarray(values, dtype=float).ravel()
+        if values.size == 0:
+            raise DomainError("need at least one sample")
+        dist = cls.__new__(cls)
+        dist._build(values, np.full(values.size, 1.0 / values.size))
+        return dist
+
+    def _build(self, values, masses):
+        ok_value = (values >= -1e-12) & (values <= 1.0 + 1e-12)
+        ok_mass = masses > 0.0
+        bad = np.flatnonzero(~(ok_value & ok_mass))
+        if bad.size:
+            i = bad[0]
+            if not ok_value[i]:
+                raise DomainError(f"atom value {float(values[i])} outside [0, 1]")
+            raise DomainError(f"atom mass must be positive, got {float(masses[i])}")
+        # masses of equal values add in input order and the total in order of
+        # first appearance, as a running dict of sums would give them
+        values, first, inverse = np.unique(
+            np.clip(values, 0.0, 1.0), return_index=True, return_inverse=True
+        )
+        masses = np.bincount(inverse, weights=masses, minlength=values.size)
+        total = sum(masses[np.argsort(first)].tolist())
         if abs(total - 1.0) > 1e-9:
             raise DomainError(f"atom masses sum to {total}, expected 1")
-        atoms = tuple((v, merged[v] / total) for v in sorted(merged))
-        values = np.fromiter((v for v, _ in atoms), float, len(atoms))
-        masses = np.fromiter((m for _, m in atoms), float, len(atoms))
+        masses = masses / total
+        atoms = tuple(zip(values.tolist(), masses.tolist()))
         # step i covers [knots[i], knots[i+1]) at CCDF height tail[i]; the last
         # step runs on from the largest atom, and ``steps`` keeps the nonempty
         # steps up to it as (left, right, height) for the iso-revenue cut
@@ -395,7 +410,6 @@ class Empirical(ValuationDistribution):
         return float(np.dot(self._values, self._masses))
 
     def _integrals(self, a, b):
-        """Integrals of the CCDF over [a, b], elementwise for arrays a < b."""
         knots, tail, prefix = self._knots, self._tail, self._prefix
         last = len(knots) - 1
         i = np.maximum(np.searchsorted(knots, a, side="right") - 1, 0)
@@ -404,11 +418,6 @@ class Empirical(ValuationDistribution):
         # partial steps at both ends plus the whole steps between them
         spread = (knots[nxt] - a) * tail[i] + (prefix[j] - prefix[nxt]) + (b - knots[j]) * tail[j]
         return np.where(i == j, (b - a) * tail[i], spread)
-
-    def ccdf_integral(self, a, b):
-        if b <= a:
-            return 0.0
-        return float(self._integrals(a, b))
 
     def kink_points(self):
         v = self._values

@@ -35,6 +35,7 @@ logger = logging.getLogger(__name__)
 __all__ = [
     "EvalReport",
     "expected_revenue",
+    "revenue_ratio",
     "eta_rs",
     "eta_ro",
     "CrossingThresholds",
@@ -125,6 +126,18 @@ def expected_revenue(
     raise DomainError(f"unknown evaluation method {method!r}")
 
 
+def revenue_ratio(pp_revenue: float, opt_revenue: float) -> float:
+    """Posted-price to optimal-mechanism revenue ratio; inf, with a logged
+    warning, when the optimal-mechanism revenue is below 1e-12."""
+    if opt_revenue < 1e-12:
+        logger.warning(
+            "optimal-mechanism revenue %.3e below tolerance; ratio reported as inf",
+            opt_revenue,
+        )
+        return math.inf
+    return pp_revenue / opt_revenue
+
+
 def eta_rs(
     dist_ref: ValuationDistribution, tau: float, true_dist: ValuationDistribution
 ) -> float:
@@ -135,15 +148,9 @@ def eta_rs(
     """
     opt = solve(dist_ref, tau).mechanism
     pp = solve_pp(dist_ref, tau).mechanism
-    num = _exact_expected_revenue(pp, true_dist)
-    den = _exact_expected_revenue(opt, true_dist)
-    if den < 1e-12:
-        logger.warning(
-            "optimal-mechanism revenue %.3e below tolerance; ratio reported as inf",
-            den,
-        )
-        return math.inf
-    return num / den
+    return revenue_ratio(
+        _exact_expected_revenue(pp, true_dist), _exact_expected_revenue(opt, true_dist)
+    )
 
 
 def eta_ro(
@@ -156,15 +163,10 @@ def eta_ro(
     """
     price = ro_pp_price(dist_ref, r)
     opt = build_ro_mechanism(dist_ref, r)
-    num = _exact_expected_revenue(PostedPrice(price), true_dist)
-    den = _exact_expected_revenue(opt, true_dist)
-    if den < 1e-12:
-        logger.warning(
-            "optimal-mechanism revenue %.3e below tolerance; ratio reported as inf",
-            den,
-        )
-        return math.inf
-    return num / den
+    return revenue_ratio(
+        _exact_expected_revenue(PostedPrice(price), true_dist),
+        _exact_expected_revenue(opt, true_dist),
+    )
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,9 @@
 The fragility-adjusted posted revenue is the reference expectation of
 min{p, k (v - p)^+}: a buyer below the price contributes nothing, a buyer
 within p/k above it contributes the fragility-scaled surplus gap, and higher
-buyers contribute the full price.  It is concave in p, increasing in k, and
-piecewise linear in p for empirical references with kinks only at
-{k/(k+1) * atom} and the atoms themselves.
+buyers contribute the full price.  It is increasing in k and piecewise
+linear in p for empirical references, with kinks only at {k/(k+1) * atom}
+and the atoms themselves.
 
 On a regular reference the optimal price for fragility k is the lower end u
 of the single-interval iso-revenue cut [u, w] with w/u = (k+1)/k, so both
@@ -13,7 +13,9 @@ searches run over the cut level c, in log(c): for a given k, c solves
 ln(w/u) = ln((k+1)/k); for a target tau, c solves
 rho_pp = u/(w - u) * int_u^w ccdf = tau, with p = u and k = u/(w - u).
 Other references (empirical, irregular, or a cut that splits) bisect log k
-directly, pricing each k by exact candidates or a concavity-backed scan.
+directly, pricing each k by exact candidates, or by a 1,001-point array pass
+of rho_pp (the guard: rho_pp can have several local maxima in p) refined by
+bisecting the sign of its slope in p.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .distributions import Empirical, ValuationDistribution, max_posted_revenue
 from .errors import DomainError, InfeasibleTargetError
 from .isorevenue import LOG_LEVEL_FLOOR, cut
 from .mechanisms import PostedPrice
-from .numerics import bisect_root, golden_section_max
+from .numerics import bisect_root, refine_crossing
 
 __all__ = [
     "PPSolveReport",
@@ -51,6 +53,9 @@ class PPSolveReport:
     mechanism: PostedPrice
     iterations: int
     residual: float
+    #: "regular" (level search on the cut), "scan" (grid and slope bisection
+    #: per k), "empirical" (exact candidates per k) or "closed_form" (two atoms)
+    path: str
     warnings: tuple[str, ...] = field(default=())
 
     def to_json(self) -> dict:
@@ -62,6 +67,7 @@ class PPSolveReport:
             "mechanism": self.mechanism.to_json(),
             "iterations": self.iterations,
             "residual": self.residual,
+            "path": self.path,
             "warnings": list(self.warnings),
         }
 
@@ -107,18 +113,21 @@ def _regular_cut(dist: ValuationDistribution, excess):
 
 
 def _optimal_price_scan(dist: ValuationDistribution, k: float) -> float:
-    """Concavity-backed fallback: coarse scan then golden-section refinement."""
-    n = 1001
-    best_i, best_v = 0, -1.0
-    for i in range(n):
-        p = i / (n - 1)
-        v = rho_pp(dist, p, k)
-        if v > best_v:
-            best_i, best_v = i, v
-    lo = max((best_i - 1) / (n - 1), 0.0)
-    hi = min((best_i + 1) / (n - 1), 1.0)
-    p, _ = golden_section_max(lambda q: rho_pp(dist, q, k), lo, hi)
-    return p
+    """Best price on a 1,001-point grid, refined by bisecting the slope of
+    rho_pp in p, (k+1) ccdf(min((1+1/k) p, 1)) - k ccdf(p), on the grid
+    cells either side of it.  The grid is the guard against local maxima."""
+    ps = np.arange(1001) / 1000.0
+    i = int(np.argmax(k * dist._integrals(ps, np.minimum((1.0 + 1.0 / k) * ps, 1.0))))
+
+    def slope(p: float) -> float:
+        upper, at = dist._ccdf(np.array([min((1.0 + 1.0 / k) * p, 1.0), p]))
+        return (k + 1.0) * upper - k * at
+
+    lo, hi = float(ps[max(i - 1, 0)]), float(ps[min(i + 1, len(ps) - 1)])
+    flo, fhi = slope(lo), slope(hi)
+    if not flo > 0.0 > fhi:
+        return float(ps[i])
+    return refine_crossing(slope, lo, hi, flo=flo, fhi=fhi)
 
 
 def optimal_price_given_k(dist: ValuationDistribution, k: float) -> float:
@@ -154,7 +163,7 @@ def solve_pp(dist: ValuationDistribution, tau: float) -> PPSolveReport:
     )
     if found is not None:
         (u, w), it = found
-        p, k_pp = u, u / (w - u)
+        p, k_pp, path = u, u / (w - u), "regular"
     else:
         def f(t: float) -> float:
             k = math.exp(t)
@@ -172,6 +181,7 @@ def solve_pp(dist: ValuationDistribution, tau: float) -> PPSolveReport:
         )
         k_pp, it = math.exp(res.root), res.iterations
         p = optimal_price_given_k(dist, k_pp)
+        path = "empirical" if isinstance(dist, Empirical) else "scan"
     rho = rho_pp(dist, p, k_pp)
     return PPSolveReport(
         tau=tau,
@@ -181,6 +191,7 @@ def solve_pp(dist: ValuationDistribution, tau: float) -> PPSolveReport:
         mechanism=PostedPrice(p),
         iterations=it,
         residual=rho - tau,
+        path=path,
     )
 
 
@@ -226,5 +237,6 @@ def solve_pp_two_point(
         mechanism=PostedPrice(p),
         iterations=0,
         residual=0.0,
+        path="closed_form",
         warnings=tuple(warnings),
     )

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from robustmech import Empirical
+from robustmech import DomainError, Empirical
 
 
 def sorted_quantile_transport(p: Empirical, q: Empirical) -> float:
@@ -133,6 +133,27 @@ def loop_empirical_regions(p: Empirical, pi: float, band: float = 1e-12):
                 ties.append(a)
         intervals.append((lo, b))
     return intervals, ties
+
+
+def loop_empirical_atoms(atoms) -> tuple:
+    """Sorted, merged and renormalized atoms, built one atom at a time with a
+    dict of running sums (values clipped into [0, 1], masses of equal values
+    added in input order, the total taken over the merged masses in order of
+    first appearance); raises DomainError on the first bad atom."""
+    merged: dict[float, float] = {}
+    for v, m in atoms:
+        v = float(v)
+        m = float(m)
+        if not -1e-12 <= v <= 1.0 + 1e-12:
+            raise DomainError(f"atom value {v} outside [0, 1]")
+        if not m > 0.0:
+            raise DomainError(f"atom mass must be positive, got {m}")
+        v = min(max(v, 0.0), 1.0)
+        merged[v] = merged.get(v, 0.0) + m
+    total = sum(merged.values())
+    if abs(total - 1.0) > 1e-9:
+        raise DomainError(f"atom masses sum to {total}, expected 1")
+    return tuple((v, merged[v] / total) for v in sorted(merged))
 
 
 def skewness_se(n: int) -> float:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from robustmech import from_json
+from robustmech import eta_rs, from_json
 from robustmech.cli import EXIT_USAGE, build_parser, main
 
 UNIFORM = '{"kind":"uniform"}'
@@ -172,6 +172,19 @@ class TestEvaluate:
             5.0 * mc["standard_error"]
         )
         assert rep["eta_rs"] > 0.0
+
+    def test_ratio_matches_eta_rs(self, capsys):
+        truth = '{"kind":"beta","alpha":2.0,"beta":5.0}'
+        code, stdout, _ = run_cli(
+            capsys, "evaluate", "--reference", UNIFORM, "--tau", "0.2", "--true", truth
+        )
+        assert code == 0
+        rep = json.loads(stdout)
+        assert rep["eta_rs"] == eta_rs(from_json(UNIFORM), 0.2, from_json(truth))
+        assert rep["eta_rs"] == (
+            rep["reports"]["rs_pp"]["expected_revenue"]
+            / rep["reports"]["rs_opt"]["expected_revenue"]
+        )
 
 
 class TestSweep:

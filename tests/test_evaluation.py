@@ -28,6 +28,7 @@ from robustmech import (
     theta_sensitivity,
     wasserstein_distance,
 )
+from robustmech.evaluation import revenue_ratio
 
 
 class TruncatedPareto(ValuationDistribution):
@@ -110,6 +111,12 @@ class TestEtaRS:
     def test_reference_truth_value(self, uniform):
         # PP revenue 0.4 * 0.6 = 0.24 over optimal-menu revenue 0.2
         assert eta_rs(uniform, 0.2, uniform) == pytest.approx(1.2, abs=1e-7)
+
+    def test_ratio_below_tolerance_is_inf(self, caplog):
+        assert revenue_ratio(0.3, 0.2) == 0.3 / 0.2
+        with caplog.at_level("WARNING", logger="robustmech.evaluation"):
+            assert revenue_ratio(0.3, 1e-13) == math.inf
+        assert "ratio reported as inf" in caplog.text
 
     def test_beta_truth_against_monte_carlo(self, uniform, beta25):
         tau = 0.2

@@ -9,6 +9,7 @@ from robustmech import (
     Empirical,
     InfeasibleTargetError,
     Mixture,
+    max_posted_revenue,
     optimal_price_given_k,
     rho_pp,
     solve,
@@ -180,3 +181,28 @@ class TestTwoPointClosedForm:
             solve_pp_two_point(0.7, 0.5, 0.3, 0.5, 0.1)
         with pytest.raises(InfeasibleTargetError):
             solve_pp_two_point(0.3, 0.5, 0.7, 0.5, 0.36)
+
+
+class TestPath:
+    @pytest.mark.parametrize(
+        "dist,path",
+        [
+            (Beta(2.0, 5.0), "regular"),
+            (Beta(0.5, 0.5), "scan"),
+            (Mixture((Beta(2.0, 10.0), Beta(10.0, 2.0)), (0.85, 0.15)), "scan"),
+            (
+                Empirical.from_samples(np.random.default_rng(7).beta(2.0, 5.0, 300)),
+                "empirical",
+            ),
+        ],
+        ids=["beta2_5", "beta.5_.5", "bimodal", "empirical300"],
+    )
+    def test_solve_pp_reports_path(self, dist, path):
+        rep = solve_pp(dist, 0.45 * max_posted_revenue(dist)[0])
+        assert rep.path == path
+        assert rep.to_json()["path"] == path
+
+    def test_two_point_closed_form_path(self):
+        rep = solve_pp_two_point(0.3, 0.5, 0.7, 0.5, 0.2)
+        assert rep.path == "closed_form"
+        assert rep.to_json()["path"] == "closed_form"

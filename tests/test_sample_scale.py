@@ -16,6 +16,7 @@ import pytest
 from helpers import (
     atom_best_posted,
     atom_rho_pp,
+    loop_empirical_atoms,
     loop_empirical_regions,
     midpoint_ccdf_integral,
     random_empirical,
@@ -23,6 +24,7 @@ from helpers import (
 )
 from robustmech import (
     Beta,
+    DomainError,
     Empirical,
     Mixture,
     Power,
@@ -164,3 +166,66 @@ def test_empirical_hash_and_equality_follow_atoms():
     assert a == b
     assert hash(a) == hash(b) == hash((a.atoms,))
     assert a.to_json() == {"kind": "empirical", "atoms": [[0.3, 0.5], [0.7, 0.5]]}
+
+
+def _atom_sets():
+    rng = np.random.default_rng(19)
+    values = np.round(rng.random(2_000), 2)  # about 100 distinct values
+    masses = rng.random(2_000) + 0.01
+    yield tuple(zip(values.tolist(), (masses / masses.sum()).tolist()))
+    # values clipped onto 0 and 1, merging with atoms already there
+    yield ((-1e-13, 0.1), (0.0, 0.2), (0.5, 0.3), (1.0 + 1e-13, 0.15), (1.0, 0.25))
+    # masses summing to 1 +- 1e-10, renormalized
+    for scale in (1.0 + 1e-10, 1.0 - 1e-10):
+        yield ((0.9, 0.5 * scale), (0.2, 0.25 * scale), (0.9, 0.25 * scale))
+    yield ((0.4, 1.0),)
+    yield (("0.25", "0.5"), (0.75, 0.5))
+
+
+@pytest.mark.parametrize("atoms", list(_atom_sets()), ids=lambda a: f"{len(a)}")
+def test_vectorized_build_matches_atom_loop(atoms):
+    expected = loop_empirical_atoms(atoms)
+    dist = Empirical(atoms)
+    assert dist.atoms == expected
+    assert [type(v) for pair in dist.atoms for v in pair] == [float] * 2 * len(expected)
+    assert dist == Empirical(list(atoms))  # eq compares the atoms
+    assert hash(dist) == hash((expected,))
+    assert dist.to_json() == {"kind": "empirical", "atoms": [list(a) for a in expected]}
+
+
+@pytest.mark.parametrize(
+    "atoms",
+    [
+        ((0.5, 0.5), (1.2, 0.25), (0.3, 0.0)),  # the first bad atom is reported
+        ((0.5, 0.5), (0.3, 0.0), (1.2, 0.25)),
+        ((0.5, 0.5), (0.3, -0.1), (0.7, 0.6)),
+        ((0.5, 0.5), (float("nan"), 0.5)),
+        ((0.5, 0.5), (0.6, float("nan"))),
+        ((0.5, 0.5), (0.6, 0.4)),
+        ((0.5, 0.5), (0.6, 0.5 + 2e-9)),
+        (),
+    ],
+)
+def test_vectorized_build_raises_as_atom_loop(atoms):
+    with pytest.raises(DomainError) as expected:
+        loop_empirical_atoms(atoms)
+    with pytest.raises(DomainError) as got:
+        Empirical(atoms)
+    assert str(got.value) == str(expected.value)
+
+
+def test_from_samples_gives_equal_masses():
+    values = np.round(np.random.default_rng(20).beta(2.0, 5.0, 5_000), 3)
+    n = len(values)
+    dist = Empirical.from_samples(values)
+    assert dist == Empirical(tuple((v, 1.0 / n) for v in values.tolist()))
+    assert len(dist.atoms) == len(np.unique(values)) < n
+    assert dist.mean() == pytest.approx(float(np.mean(values)), rel=1e-12)
+    assert Empirical.from_samples([0.3]).atoms == ((0.3, 1.0),)
+
+
+def test_from_samples_validation():
+    with pytest.raises(DomainError):
+        Empirical.from_samples([])
+    with pytest.raises(DomainError, match="outside"):
+        Empirical.from_samples([0.2, 1.5])
