@@ -10,6 +10,7 @@ CSV with header v,q,m,surplus.  Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -23,7 +24,6 @@ from .errors import (
     InfeasibleTargetError,
     RadiusTooLargeError,
     RobustMechError,
-    UnsupportedReferenceError,
 )
 from .mechanisms import Mechanism
 
@@ -84,43 +84,30 @@ def _write_table(mech: Mechanism, path: str, points: int) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _base_report(command: str, args) -> dict:
+def _base_report(args, ref: ValuationDistribution) -> dict:
     return {
         "schema": SCHEMA,
-        "command": command,
-        "reference": _load_dist(args.reference).to_json(),
+        "command": args.command,
+        "reference": ref.to_json(),
         "seed": args.seed,
     }
 
 
-def _cmd_solve_rs(args) -> int:
+#: subcommand -> (solver module, function name, name of its second argument);
+#: the solver is looked up on its module at call time, so a wrapper installed
+#: there after import is the one that runs
+_SOLVERS = {
+    "solve-rs": (rs_solver, "solve", "tau"),
+    "solve-pp": (pp_solver, "solve_pp", "tau"),
+    "solve-ro": (ro_solver, "solve_ro", "r"),
+}
+
+
+def _cmd_solve(args) -> int:
     ref = _load_dist(args.reference)
-    report = rs_solver.solve(ref, args.tau)
-    out = _base_report("solve-rs", args)
-    out.update(report.to_json())
-    out["mechanism_table"] = _mechanism_table(report.mechanism, args.table_points)
-    _emit(out, args.out)
-    if args.table:
-        _write_table(report.mechanism, args.table, args.table_points)
-    return EXIT_OK
-
-
-def _cmd_solve_pp(args) -> int:
-    ref = _load_dist(args.reference)
-    report = pp_solver.solve_pp(ref, args.tau)
-    out = _base_report("solve-pp", args)
-    out.update(report.to_json())
-    out["mechanism_table"] = _mechanism_table(report.mechanism, args.table_points)
-    _emit(out, args.out)
-    if args.table:
-        _write_table(report.mechanism, args.table, args.table_points)
-    return EXIT_OK
-
-
-def _cmd_solve_ro(args) -> int:
-    ref = _load_dist(args.reference)
-    report = ro_solver.solve_ro(ref, args.r)
-    out = _base_report("solve-ro", args)
+    module, name, arg = _SOLVERS[args.command]
+    report = getattr(module, name)(ref, getattr(args, arg))
+    out = _base_report(args, ref)
     out.update(report.to_json())
     out["mechanism_table"] = _mechanism_table(report.mechanism, args.table_points)
     _emit(out, args.out)
@@ -132,7 +119,7 @@ def _cmd_solve_ro(args) -> int:
 def _cmd_tau_equiv(args) -> int:
     ref = _load_dist(args.reference)
     value = ro_solver.tau_equiv(ref, args.r)
-    out = _base_report("tau-equiv", args)
+    out = _base_report(args, ref)
     out.update({"r": args.r, "tau_equiv": value})
     _emit(out, args.out)
     return EXIT_OK
@@ -152,7 +139,7 @@ def _cmd_compare(args) -> int:
     pp_rep = pp_solver.solve_pp(ref, tau)
     ro_mech = ro_solver.build_ro_mechanism(ref, r)
     crossings = evaluation.crossing_thresholds(rs_rep.mechanism, ro_mech)
-    out = _base_report("compare", args)
+    out = _base_report(args, ref)
     out.update(
         {
             "tau": tau,
@@ -196,7 +183,7 @@ def _cmd_evaluate(args) -> int:
         reports["rs_pp_mc"] = evaluation.expected_revenue(
             pp, truth, "monte_carlo", mc_n=args.mc_n, seed=args.seed
         ).to_json()
-    out = _base_report("evaluate", args)
+    out = _base_report(args, ref)
     out.update(
         {
             "tau": args.tau,
@@ -233,18 +220,11 @@ def _parse_grid(spec: str | None) -> evaluation.SweepConfig:
 
 
 def _cmd_sweep(args) -> int:
-    config = _parse_grid(args.grid)
+    grid = _parse_grid(args.grid)
     ref = _load_dist(args.reference)
-    config = evaluation.SweepConfig(
-        alphas=config.alphas,
-        betas=config.betas,
-        tau_fracs=config.tau_fracs,
-        reference=ref,
-        seed=args.seed,
-        mc_n=args.mc_n,
-    )
+    config = dataclasses.replace(grid, reference=ref, seed=args.seed, mc_n=args.mc_n)
     cells = evaluation.beta_sweep(config)
-    out = _base_report("sweep", args)
+    out = _base_report(args, ref)
     out.update(
         {
             "grid": config.to_json(),
@@ -261,63 +241,52 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="robustmech", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, tau=False, r=False, true=False):
+    def common(p, tau=False, r=False, true=False, required=True, table=False):
         p.add_argument(
             "--reference", required=True, help="distribution JSON (path or inline)"
         )
         if tau:
-            p.add_argument("--tau", type=float, required=True, help="revenue target")
+            p.add_argument("--tau", type=float, required=required, help="revenue target")
         if r:
-            p.add_argument("--r", type=float, required=True, help="ambiguity radius")
+            p.add_argument("--r", type=float, required=required, help="ambiguity radius")
         if true:
             p.add_argument(
-                "--true", required=True, help="true distribution JSON (path or inline)"
+                "--true", required=required, help="true distribution JSON (path or inline)"
             )
         p.add_argument("--seed", type=int, default=42, help="PRNG seed (default 42)")
         p.add_argument("--out", help="write the JSON report here (default stdout)")
-        p.add_argument("--table", help="write a CSV mechanism table here")
-        p.add_argument(
-            "--table-points",
-            type=int,
-            default=201,
-            help="rows in the mechanism table (default 201)",
-        )
+        if table:
+            p.add_argument("--table", help="write a CSV mechanism table here")
+            p.add_argument(
+                "--table-points",
+                type=int,
+                default=201,
+                help="rows in the mechanism table (default 201)",
+            )
 
-    common(sub.add_parser("solve-rs", help="optimal satisficing mechanism"), tau=True)
-    common(sub.add_parser("solve-pp", help="optimal satisficing posted price"), tau=True)
-    common(sub.add_parser("solve-ro", help="worst-case-optimal mechanism"), r=True)
+    common(sub.add_parser("solve-rs", help="optimal satisficing mechanism"), tau=True, table=True)
+    common(sub.add_parser("solve-pp", help="optimal satisficing posted price"), tau=True, table=True)
+    common(sub.add_parser("solve-ro", help="worst-case-optimal mechanism"), r=True, table=True)
     common(sub.add_parser("tau-equiv", help="framework-equivalence target"), r=True)
-
     cmp_p = sub.add_parser("compare", help="satisficing vs worst-case at matched target")
-    cmp_p.add_argument("--reference", required=True)
-    cmp_p.add_argument("--tau", type=float)
-    cmp_p.add_argument("--r", type=float)
-    cmp_p.add_argument("--true", help="optional true distribution for revenues")
-    cmp_p.add_argument("--seed", type=int, default=42)
-    cmp_p.add_argument("--out")
-    cmp_p.add_argument("--table")
-    cmp_p.add_argument("--table-points", type=int, default=201)
+    common(cmp_p, tau=True, r=True, true=True, required=False)
 
     ev = sub.add_parser("evaluate", help="out-of-sample expected revenue")
     common(ev, tau=True, true=True)
     ev.add_argument("--mc-n", type=int, default=0, help="Monte Carlo sample size")
 
     sw = sub.add_parser("sweep", help="Beta-grid out-of-sample sweep")
-    sw.add_argument("--reference", required=True)
+    common(sw)
     sw.add_argument(
         "--grid", help='grid spec, e.g. "alphas=1,2,5;betas=1,5;taus=0.1,0.5,0.9"'
     )
-    sw.add_argument("--seed", type=int, default=42)
-    sw.add_argument("--out")
     sw.add_argument("--csv", help="write sweep cells as CSV here")
-    sw.add_argument("--mc-n", type=int, default=0)
+    sw.add_argument("--mc-n", type=int, default=0, help="Monte Carlo sample size")
     return parser
 
 
 _HANDLERS = {
-    "solve-rs": _cmd_solve_rs,
-    "solve-pp": _cmd_solve_pp,
-    "solve-ro": _cmd_solve_ro,
+    **dict.fromkeys(_SOLVERS, _cmd_solve),
     "tau-equiv": _cmd_tau_equiv,
     "compare": _cmd_compare,
     "evaluate": _cmd_evaluate,
@@ -325,7 +294,7 @@ _HANDLERS = {
 }
 
 
-def run(argv=None) -> int:
+def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -336,14 +305,8 @@ def run(argv=None) -> int:
     except (InfeasibleTargetError, RadiusTooLargeError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (DomainError, UnsupportedReferenceError, RobustMechError) as exc:
+    except (RobustMechError, OSError, ValueError) as exc:
         return _usage_error(str(exc))
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        return _usage_error(str(exc))
-
-
-def main(argv=None) -> int:
-    return run(argv)
 
 
 if __name__ == "__main__":

@@ -203,7 +203,8 @@ def _sign_profile(diff: np.ndarray, band: float = 1e-13):
 
 
 def _threshold_of(grid, fa, fb):
-    """Threshold and sign-change count for diff = fa - fb sampled on grid."""
+    """Threshold bracket and sign-change count for diff = fa - fb sampled on
+    grid; the bracket is (lo, hi, diff at lo, diff at hi)."""
     diff = fa - fb
     signs = _sign_profile(diff)
     nz = np.flatnonzero(signs)
@@ -216,7 +217,8 @@ def _threshold_of(grid, fa, fb):
         if signs[idx] != signs[prev_idx]:
             changes += 1
             if signs[prev_idx] > 0 and signs[idx] < 0:
-                threshold = (float(grid[prev_idx]), float(grid[idx]))
+                threshold = (float(grid[prev_idx]), float(grid[idx]),
+                             float(diff[prev_idx]), float(diff[idx]))
         prev_idx = idx
     return threshold, changes
 
@@ -233,26 +235,15 @@ def crossing_thresholds(
     grid = np.linspace(0.0, 1.0, grid_points)
     out: list[float | None] = []
     counts: list[int] = []
-    pairs = [
-        (mech_a.allocation(grid), mech_b.allocation(grid)),
-        (mech_a.payment(grid), mech_b.payment(grid)),
-        (mech_a.buyer_surplus(grid), mech_b.buyer_surplus(grid)),
-    ]
-    fns = [
-        lambda v: mech_a.allocation(v) - mech_b.allocation(v),
-        lambda v: mech_a.payment(v) - mech_b.payment(v),
-        lambda v: mech_a.buyer_surplus(v) - mech_b.buyer_surplus(v),
-    ]
-    for (fa, fb), fn in zip(pairs, fns):
-        bracket, changes = _threshold_of(grid, fa, fb)
+    for name in ("allocation", "payment", "buyer_surplus"):
+        fa, fb = getattr(mech_a, name), getattr(mech_b, name)
+        bracket, changes = _threshold_of(grid, fa(grid), fb(grid))
         if bracket is None:
             out.append(None)
         else:
-            lo, hi = bracket
-            try:
-                out.append(refine_crossing(fn, lo, hi))
-            except Exception:
-                out.append(0.5 * (lo + hi))
+            # both ends lie outside the zero band, with opposite signs
+            lo, hi, flo, fhi = bracket
+            out.append(refine_crossing(lambda v: fa(v) - fb(v), lo, hi, flo=flo, fhi=fhi))
         counts.append(changes)
     return CrossingThresholds(out[0], out[1], out[2], counts[0], counts[1], counts[2])
 

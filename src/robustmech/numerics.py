@@ -3,8 +3,8 @@
 All solver equations in this package are monotone scalar equations whose
 derivatives are kinked at interval-count transitions, so plain bisection is
 used throughout (never derivative-based steps).  A bisection stops at an
-exact zero or once the bracket is no wider than xtol; the level searches pass
-xtol = 0, which runs until the bracket collapses to adjacent floats.
+exact zero or once the bracket is no wider than xtol; ``rs_solver.level_search``
+passes xtol = 0, which runs until the bracket collapses to adjacent floats.
 The tolerances below are plain defaults of the function arguments; nothing
 here reads module state at call time.
 """

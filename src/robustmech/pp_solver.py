@@ -9,8 +9,8 @@ and the atoms themselves.
 
 On a regular reference the optimal price for fragility k is the lower end u
 of the single-interval iso-revenue cut [u, w] with w/u = (k+1)/k, so both
-searches run over the cut level c, in log(c): for a given k, c solves
-ln(w/u) = ln((k+1)/k); for a target tau, c solves
+searches are ``rs_solver.level_search`` over the cut level: for a given k,
+the level solves ln(w/u) = ln((k+1)/k); for a target tau, it solves
 rho_pp = u/(w - u) * int_u^w ccdf = tau, with p = u and k = u/(w - u).
 Other references (empirical, irregular, or a cut that splits) bisect log k
 directly, pricing each k by exact candidates, or by a 1,001-point array pass
@@ -27,9 +27,10 @@ import numpy as np
 
 from .distributions import Empirical, ValuationDistribution, max_posted_revenue
 from .errors import DomainError, InfeasibleTargetError
-from .isorevenue import LOG_LEVEL_FLOOR, cut
+from .isorevenue import cut  # noqa: F401  (bench/spans.py patches this name)
 from .mechanisms import PostedPrice
 from .numerics import bisect_root, refine_crossing
+from .rs_solver import level_search
 
 __all__ = [
     "PPSolveReport",
@@ -88,28 +89,21 @@ def rho_pp(dist: ValuationDistribution, p: float, k: float) -> float:
 
 
 def _regular_cut(dist: ValuationDistribution, excess):
-    """Interval (u, w) of the cut at the root of ``excess(u, w)``, found in
-    log(level), and the number of bisection steps.
+    """Interval (u, w) of the cut at the root of ``excess(u, w)``, and the
+    number of bisection steps.
 
-    ``excess`` increases with the level, is negative as the level tends to 0
-    and positive at the tangency level pi0, where the cut empties.  A split
-    cut met on the way is read through its outer ends.  Returns None when the
-    cut at the root is not a single interval, signalling that the
-    quasi-concave characterization does not apply.
+    ``excess`` increases with the level; the empty cut at the tangency level
+    pi0 counts as +inf.  A split cut met on the way is read through its outer
+    ends.  Returns None when the cut at the root is not a single interval,
+    signalling that the quasi-concave characterization does not apply.
     """
     pi0, _ = max_posted_revenue(dist)
 
-    def f(t: float) -> float:
-        c = cut(dist, math.exp(t))
-        if not c.intervals:
-            return math.inf
-        return excess(c.intervals[0][0], c.intervals[-1][1])
+    def on_cut(c) -> float:
+        return excess(c.intervals[0][0], c.intervals[-1][1]) if c.intervals else math.inf
 
-    res = bisect_root(
-        f, LOG_LEVEL_FLOOR, math.log(pi0), xtol=0.0, flo=-math.inf, fhi=math.inf
-    )
-    c = cut(dist, math.exp(res.root))
-    return (c.intervals[0], res.iterations) if c.count == 1 else None
+    c, res = level_search(dist, on_cut, math.log(pi0))
+    return (c.intervals[0], res.iterations if res else 0) if c.count == 1 else None
 
 
 def _optimal_price_scan(dist: ValuationDistribution, k: float) -> float:

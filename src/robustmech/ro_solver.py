@@ -3,9 +3,9 @@
 For an ambiguity radius r, the maximum worst-case revenue is the revenue
 level whose Wasserstein gap equals r; the worst-case-optimal mechanism is the
 same randomized log menu as in the satisficing problem, built on the cut at
-that level, with slope pinned to 1 / sum(ln(w/u)).  The frameworks coincide
-when the satisficing target equals the worst-case revenue plus r times that
-slope.
+that level, with slope pinned to 1 / sum(ln(w/u)).  The level comes from
+``rs_solver.level_search`` on r - gap(pi).  The frameworks coincide when the
+satisficing target equals the worst-case revenue plus r times that slope.
 """
 
 from __future__ import annotations
@@ -20,9 +20,10 @@ from .errors import (
     RadiusTooLargeError,
     UnsupportedReferenceError,
 )
-from .isorevenue import LOG_LEVEL_FLOOR, IsoRevenueCut, cut, gap_only
+from .isorevenue import IsoRevenueCut, cut, gap_only
 from .mechanisms import Mechanism, PostedPrice, RandomizedLogMechanism
-from .numerics import bisect_root
+from .numerics import bisect_root  # noqa: F401  (bench/spans.py patches this name)
+from .rs_solver import level_search
 
 __all__ = [
     "ROSolveReport",
@@ -76,17 +77,12 @@ def _pi_ro_cut(
     pi0, _ = max_posted_revenue(dist)
     if r == 0.0:
         return cut(dist, pi0), 0, 0.0
-    # the gap falls from the mean at level 0 to zero at pi0; searching in
-    # log(pi) keeps the relative error at float resolution at every scale
-    res = bisect_root(
-        lambda t: gap_only(dist, math.exp(t)) - r,
-        LOG_LEVEL_FLOOR,
-        math.log(pi0),
-        xtol=0.0,
-        flo=dist.mean() - r,
-        fhi=-r,
-    )
-    return cut(dist, math.exp(res.root)), res.iterations, res.residual
+    # the gap falls from the mean at level 0 to zero at pi0
+    c, res = level_search(dist, lambda c: r - c.gap, math.log(pi0))
+    if res is None:
+        return c, 0, c.gap - r
+    # report gap - r; subtracting from +0.0 keeps an exact root at +0.0
+    return c, res.iterations, 0.0 - res.residual
 
 
 def _mechanism(dist: ValuationDistribution, c: IsoRevenueCut) -> Mechanism:

@@ -10,22 +10,24 @@ iso-revenue cut: with L(pi) = sum_j ln(w_j/u_j) over the cut intervals,
 * the minimal fragility-adjusted revenue at that fragility is
   rho(pi) = pi + gap(pi)/L(pi) >= pi, nondecreasing in pi,
 
-so one bisection in log(pi) solves rho(pi) = tau and k* = 1/L(pi*).  When
-pi* underflows the floor level, the floor cut already covers the reference
-and k* = tau / int ccdf over it.  The optimal mechanism is the randomized
-log menu on the cut at pi*.
+so ``level_search`` solves rho(pi) = tau and k* = 1/L(pi*).  When pi*
+underflows the floor level, the floor cut already covers the reference and
+k* = tau / int ccdf over it.  The optimal mechanism is the randomized log
+menu on the cut at pi*.  The PP regular path and the RO solver pick their
+levels with ``level_search`` too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .distributions import ValuationDistribution, max_posted_revenue
 from .errors import InfeasibleTargetError
 from .isorevenue import LOG_LEVEL_FLOOR, IsoRevenueCut, cut, gap_only
 from .mechanisms import RandomizedLogMechanism
-from .numerics import bisect_root
+from .numerics import RootResult, bisect_root
 
 __all__ = ["SolveReport", "fragility_adjusted_revenue", "pi_star", "rho_star", "solve"]
 
@@ -69,29 +71,49 @@ def fragility_adjusted_revenue(
     return pi + k * gap_only(dist, pi)
 
 
-def _pi_star_cut(dist: ValuationDistribution, k: float) -> IsoRevenueCut:
-    """Cut at the root of log_sum(cut(pi)) = 1/k, found in log(pi).
+def level_search(
+    dist: ValuationDistribution,
+    excess: Callable[[IsoRevenueCut], float],
+    log_hi: float,
+) -> tuple[IsoRevenueCut, RootResult | None]:
+    """Cut at the root of ``excess(cut(pi))``, and the bisection (None when
+    ``excess`` is already nonnegative at the floor level, whose cut is then
+    returned).
 
-    The root scales like exp(-1/k) for small k; below the floor level (the
-    root underflows) the floor cut is returned.
+    ``excess`` is nondecreasing in the level and taken as +inf at ``log_hi``.
+    log(pi) is bisected on [LOG_LEVEL_FLOOR, log_hi] down to adjacent floats,
+    so the level keeps float resolution at every scale.
     """
+    floor = cut(dist, math.exp(LOG_LEVEL_FLOOR))
+    flo = excess(floor)
+    if flo >= 0.0:
+        return floor, None
+    # the root is the last level evaluated on one side of the sign change
+    ends = {True: floor}
+
+    def f(t: float) -> float:
+        c = cut(dist, math.exp(t))
+        e = excess(c)
+        ends[e < 0.0] = c
+        return e
+
+    res = bisect_root(f, LOG_LEVEL_FLOOR, log_hi, xtol=0.0, flo=flo, fhi=math.inf)
+    level = math.exp(res.root)
+    for c in ends.values():
+        if c.pi == level:
+            return c, res
+    return cut(dist, level), res
+
+
+def _pi_star_cut(dist: ValuationDistribution, k: float) -> IsoRevenueCut:
+    """Cut at the root of log_sum(cut(pi)) = 1/k; the root scales like
+    exp(-1/k) for small k, and below the floor level the floor cut is kept."""
     if not k > 0.0:
         raise ValueError(f"fragility must be positive, got {k}")
     pi0, _ = max_posted_revenue(dist)
-    target = 1.0 / k
-    floor = cut(dist, math.exp(LOG_LEVEL_FLOOR))
-    if floor.log_sum <= target:
-        return floor
     # log_sum falls to 0 at the tangency level pi0
-    res = bisect_root(
-        lambda t: cut(dist, math.exp(t)).log_sum - target,
-        LOG_LEVEL_FLOOR,
-        math.log(pi0),
-        xtol=0.0,
-        flo=floor.log_sum - target,
-        fhi=-target,
-    )
-    return cut(dist, math.exp(res.root))
+    target = 1.0 / k
+    return level_search(dist, lambda c: target - c.log_sum, math.log(pi0))[0]
 
 
 def pi_star(dist: ValuationDistribution, k: float) -> float:
@@ -120,9 +142,9 @@ def solve(dist: ValuationDistribution, tau: float) -> SolveReport:
     if not tau > 0.0 or tau >= pi0 - FEASIBILITY_MARGIN:
         raise InfeasibleTargetError(tau, pi0)
     warnings: tuple[str, ...] = ()
-    c = cut(dist, math.exp(LOG_LEVEL_FLOOR))
-    rho_floor = _level_rho(c)
-    if rho_floor >= tau:
+    # rho(tau) >= tau, so log(tau) closes the bracket
+    c, res = level_search(dist, lambda c: _level_rho(c) - tau, math.log(tau))
+    if res is None:
         # pi* underflows the floor level; the cut there already covers the
         # reference up to a negligible measure, so k* = tau / int ccdf is exact
         warnings = (
@@ -132,16 +154,6 @@ def solve(dist: ValuationDistribution, tau: float) -> SolveReport:
         k_star = tau / math.fsum(dist.ccdf_integral(u, w) for u, w in c.intervals)
         iterations = 0
     else:
-        # rho(tau) >= tau, so log(tau) closes the bracket
-        res = bisect_root(
-            lambda t: _level_rho(cut(dist, math.exp(t))) - tau,
-            LOG_LEVEL_FLOOR,
-            math.log(tau),
-            xtol=0.0,
-            flo=rho_floor - tau,
-            fhi=math.inf,
-        )
-        c = cut(dist, math.exp(res.root))
         if not c.intervals:
             # tau is within the tangency resolution of pi0
             raise InfeasibleTargetError(tau, pi0)

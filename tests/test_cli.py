@@ -97,6 +97,22 @@ class TestTables:
         assert lines[0] == "v,q,m,surplus"
         assert len(lines) == 102
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compare", "--tau", "0.2"],
+            ["tau-equiv", "--r", "0.05"],
+            ["evaluate", "--tau", "0.2", "--true", UNIFORM],
+        ],
+    )
+    def test_table_rejected_where_no_mechanism_is_tabled(self, capsys, tmp_path, argv):
+        table = tmp_path / "x.csv"
+        code, _, _ = run_cli(
+            capsys, *argv, "--reference", UNIFORM, "--table", str(table)
+        )
+        assert code == EXIT_USAGE
+        assert not table.exists()
+
 
 class TestSolvePP:
     def test_two_point_row(self, capsys):

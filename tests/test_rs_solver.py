@@ -12,7 +12,11 @@ from robustmech import (
     max_posted_revenue,
     pi_star,
     rho_star,
+    rs_solver,
     solve,
+    solve_pp,
+    solve_ro,
+    tau_equiv,
     wasserstein_distance,
 )
 
@@ -211,3 +215,37 @@ class TestSatisficingGuarantee:
             shortfall = tau - expected_revenue(rep.mechanism, deviation).expected_revenue
             bound = rep.k_star * wasserstein_distance(deviation, dist)
             assert shortfall <= bound + 1e-8
+
+
+class TestLevelSearch:
+    """The one search over the level shared by the RS, PP and RO solvers."""
+
+    @pytest.mark.parametrize(
+        "search",
+        [
+            pytest.param(lambda d: solve(d, 0.45 * max_posted_revenue(d)[0]), id="solve"),
+            pytest.param(lambda d: pi_star(d, 0.56), id="pi_star"),
+            pytest.param(lambda d: solve_pp(d, 0.45 * max_posted_revenue(d)[0]), id="solve_pp"),
+            pytest.param(lambda d: solve_ro(d, 0.1 * d.mean()), id="solve_ro"),
+            pytest.param(lambda d: tau_equiv(d, 0.1 * d.mean()), id="tau_equiv"),
+        ],
+    )
+    @pytest.mark.parametrize("fixture", ["uniform", "beta25"])
+    def test_no_level_is_cut_twice(self, search, fixture, request, monkeypatch):
+        dist = request.getfixturevalue(fixture)
+        levels = []
+
+        def recording_cut(d, pi):
+            levels.append(pi)
+            return cut(d, pi)
+
+        cut = rs_solver.cut
+        monkeypatch.setattr(rs_solver, "cut", recording_cut)
+        result = search(dist)
+        assert getattr(result, "path", "regular") == "regular"
+        assert len(levels) > 2
+        assert len(set(levels)) == len(levels)
+
+    def test_pi_star_below_floor_returns_floor_cut(self, uniform):
+        # the root exp(-1/k) ~ exp(-1000) underflows the floor level
+        assert pi_star(uniform, 1e-3) == math.exp(-700.0)
