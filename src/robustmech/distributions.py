@@ -43,6 +43,9 @@ __all__ = [
 ]
 
 _SCAN_POINTS = 100_001
+#: the scan grid's abscissae, one read-only array shared by every reference
+_SCAN_XS = np.linspace(0.0, 1.0, _SCAN_POINTS + 1)[1:]
+_SCAN_XS.setflags(write=False)
 
 
 def _as_array(x):
@@ -289,8 +292,8 @@ class Mixture(ValuationDistribution):
             raise DomainError("mixture components must be continuous")
 
     def _ccdf(self, xs):
-        out = np.zeros_like(xs, dtype=float)
-        for w, c in zip(self.weights, self.components):
+        out = self.weights[0] * self.components[0]._ccdf(xs)
+        for w, c in zip(self.weights[1:], self.components[1:]):
             out += w * c._ccdf(xs)
         return out
 
@@ -481,8 +484,7 @@ def revenue(dist: ValuationDistribution, p: float) -> float:
 @lru_cache(maxsize=64)
 def _scan_grid(dist: ValuationDistribution):
     """Cached grid of the revenue curve g(x) = x * ccdf(x) on (0, 1]."""
-    xs = np.linspace(0.0, 1.0, _SCAN_POINTS + 1)[1:]
-    return xs, xs * dist._ccdf(xs)
+    return _SCAN_XS, _SCAN_XS * dist._ccdf(_SCAN_XS)
 
 
 @lru_cache(maxsize=256)
@@ -543,7 +545,7 @@ def _step_crossings(p, p0, breaks) -> list[float]:
 
 def _scanned_crossings(p, p0, breaks) -> list[float]:
     """Sign changes of ccdf_p - ccdf_p0 between two continuous CCDFs: a dense
-    scan of each segment, refined by bisection."""
+    scan of each segment, refined to float resolution."""
     def diff(x: float) -> float:
         return float(p._ccdf(np.asarray(x)) - p0._ccdf(np.asarray(x)))
 
@@ -569,7 +571,7 @@ def wasserstein_distance(
     Piecewise exact: each run of constant sign between breakpoints and
     crossings is integrated via the CCDF partial integrals.  Crossings are
     read off the segment ends when one side is empirical, and located by a
-    dense scan refined with bisection when both are continuous.
+    dense scan refined to float resolution when both are continuous.
     """
     breaks = _union_breakpoints(p, p0)
     if isinstance(p, Empirical) and isinstance(p0, Empirical):

@@ -101,7 +101,7 @@ def _empirical_regions(dist: Empirical, pi: float):
 
 
 def _continuous_regions(dist: ValuationDistribution, pi: float):
-    """Sign-change scan of g(x) = x * ccdf(x) - pi, refined by bisection."""
+    """Sign-change scan of g(x) = x * ccdf(x) - pi, refined to float resolution."""
     xs, g = _scan_grid(dist)
 
     def f(x: float) -> float:
@@ -112,9 +112,12 @@ def _continuous_regions(dist: ValuationDistribution, pi: float):
     starts: list[float] = []
     ends: list[float] = []
     if mask[0]:
-        # the revenue curve exceeds pi already at the first grid point;
-        # the crossing lies in (0, xs[0]] since g -> 0 at 0+
-        starts.append(refine_crossing(f, 0.0, float(xs[0]), flo=-pi))
+        # g(xs[0]) >= pi; below xs[0], x ccdf(x) <= x and ccdf(x) >= ccdf(xs[0]),
+        # so the crossing is in [pi, min(xs[0], pi / ccdf(xs[0]))] (one float up
+        # for rounding), which is empty only when pi = xs[0] and ccdf is 1 there
+        x0 = float(xs[0])
+        hi = min(x0, math.nextafter(pi / float(dist._ccdf(np.asarray(x0))), 1.0))
+        starts.append(refine_crossing(f, pi, hi) if pi < hi else pi)
     for j in edges:
         x = refine_crossing(f, float(xs[j]), float(xs[j + 1]))
         if mask[j]:

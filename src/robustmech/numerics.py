@@ -1,12 +1,12 @@
 """Scalar root finding, maximization and quadrature used by the solvers.
 
 All solver equations in this package are monotone scalar equations whose
-derivatives are kinked at interval-count transitions, so plain bisection is
-used throughout (never derivative-based steps).  A bisection stops at an
-exact zero or once the bracket is no wider than xtol; ``rs_solver.level_search``
-passes xtol = 0, which runs until the bracket collapses to adjacent floats.
-The tolerances below are plain defaults of the function arguments; nothing
-here reads module state at call time.
+derivatives are kinked at interval-count transitions, so roots are kept in
+a bracket, never found by derivative steps: ``bisect_root`` takes ITP steps
+with a bisection fallback and stops at an exact zero, at xtol, or when the
+bracket collapses to adjacent floats (``rs_solver.level_search`` and
+``refine_crossing`` pass xtol = 0).  The tolerances below are plain defaults
+of the function arguments; nothing here reads module state at call time.
 """
 
 from __future__ import annotations
@@ -40,7 +40,15 @@ def bisect_root(
     flo: float | None = None,
     fhi: float | None = None,
 ) -> RootResult:
-    """Find a root of ``f`` in [lo, hi] by bisection.
+    """Find a root of ``f`` in [lo, hi] by ITP steps.
+
+    ITP (Oliveira and Takahashi, ACM TOMS 2020) moves the regula falsi point
+    toward the midpoint by kappa1 (b - a)**2, kappa1 = 0.2 / (b - a) on the
+    first bracket with finite end values, then into a window around the
+    midpoint budgeted (n0 = 1) from the float spacing at the ends or xtol:
+    at most one step more than bisection reaches that width.  A step is the
+    midpoint at an infinite end value, outside (a, b) and once the budget is
+    spent.  It stops at an exact zero, at ``xtol`` or at adjacent floats.
 
     ``flo``/``fhi`` may be supplied to avoid evaluating at an endpoint (for
     instance when the function diverges there; ``math.inf`` is accepted).
@@ -57,6 +65,10 @@ def bisect_root(
     if math.copysign(1.0, fa) == math.copysign(1.0, fb):
         raise BracketError(f"no sign change on [{lo}, {hi}]: f={fa}, {fb}")
     a, b = lo, hi
+    kappa1 = 0.0
+    eps = 0.5 * max(xtol, math.ulp(max(abs(lo), abs(hi))))
+    # eps * 2**(n_max - j), with n_max = ceil(log2((hi - lo) / (2 eps))) + n0
+    budget = eps * 2.0 ** (math.ceil(math.log2((hi - lo) / (2.0 * eps))) + 1)
     mid = 0.5 * (a + b)
     fm = math.inf
     for it in range(1, max_iter + 1):
@@ -64,13 +76,24 @@ def bisect_root(
         if mid <= a or mid >= b:
             # bracket has collapsed to adjacent floats
             return RootResult(mid, it, fm if math.isfinite(fm) else 0.0, True)
-        fm = f(mid)
+        x = mid
+        r = budget - 0.5 * (b - a)
+        budget *= 0.5
+        if r > 0.0 and math.isfinite(fa) and math.isfinite(fb):
+            kappa1 = kappa1 or 0.2 / (b - a)
+            xf = a + (b - a) * fa / (fa - fb)
+            sigma = math.copysign(1.0, mid - xf)
+            delta = kappa1 * (b - a) ** 2
+            xt = xf + sigma * delta if delta <= abs(mid - xf) else mid
+            x = xt if abs(xt - mid) <= r else mid - sigma * r
+            x = x if a < x < b else mid
+        fm = f(x)
         if fm == 0.0:
-            return RootResult(mid, it, fm, True)
+            return RootResult(x, it, fm, True)
         if math.copysign(1.0, fm) == math.copysign(1.0, fa):
-            a, fa = mid, fm
+            a, fa = x, fm
         else:
-            b, fb = mid, fm
+            b, fb = x, fm
         if b - a <= xtol:
             return RootResult(0.5 * (a + b), it, fm, True)
     return RootResult(mid, max_iter, fm, False)
@@ -84,9 +107,10 @@ def refine_crossing(
     flo: float | None = None,
     fhi: float | None = None,
 ) -> float:
-    """Bisect a bracketed sign change down to float resolution.
+    """Refine a bracketed sign change down to float resolution.
 
-    Used to polish interval endpoints located by grid scans; runs until the
+    Used to polish interval endpoints located by grid scans; ``bisect_root``
+    takes ITP steps (plain bisection where they do not apply) until the
     bracket collapses to adjacent floats (well below 1e-12).  The iteration
     cap accommodates roots many orders of magnitude below the bracket width.
     """

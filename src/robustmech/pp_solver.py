@@ -12,10 +12,10 @@ of the single-interval iso-revenue cut [u, w] with w/u = (k+1)/k, so both
 searches are ``rs_solver.level_search`` over the cut level: for a given k,
 the level solves ln(w/u) = ln((k+1)/k); for a target tau, it solves
 rho_pp = u/(w - u) * int_u^w ccdf = tau, with p = u and k = u/(w - u).
-Other references (empirical, irregular, or a cut that splits) bisect log k
+Other references (empirical, irregular, or a cut that splits) search log k
 directly, pricing each k by exact candidates, or by a 1,001-point array pass
-of rho_pp (the guard: rho_pp can have several local maxima in p) refined by
-bisecting the sign of its slope in p.
+of rho_pp (the guard: rho_pp can have several local maxima in p) refined on
+the sign of its slope in p.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ def rho_pp(dist: ValuationDistribution, p: float, k: float) -> float:
 
 def _regular_cut(dist: ValuationDistribution, excess):
     """Interval (u, w) of the cut at the root of ``excess(u, w)``, and the
-    number of bisection steps.
+    number of root-finder steps.
 
     ``excess`` increases with the level; the empty cut at the tangency level
     pi0 counts as +inf.  A split cut met on the way is read through its outer
@@ -107,9 +107,9 @@ def _regular_cut(dist: ValuationDistribution, excess):
 
 
 def _optimal_price_scan(dist: ValuationDistribution, k: float) -> float:
-    """Best price on a 1,001-point grid, refined by bisecting the slope of
-    rho_pp in p, (k+1) ccdf(min((1+1/k) p, 1)) - k ccdf(p), on the grid
-    cells either side of it.  The grid is the guard against local maxima."""
+    """Best price on a 1,001-point grid, refined at the sign change of the
+    slope of rho_pp in p, (k+1) ccdf(min((1+1/k) p, 1)) - k ccdf(p), on the
+    grid cells either side of it.  The grid is the guard against local maxima."""
     ps = np.arange(1001) / 1000.0
     i = int(np.argmax(k * dist._integrals(ps, np.minimum((1.0 + 1.0 / k) * ps, 1.0))))
 
@@ -165,7 +165,7 @@ def solve_pp(dist: ValuationDistribution, tau: float) -> PPSolveReport:
 
         # rho_pp*(k) <= k * mean, and pricing at k/(k+1) * p0 earns
         # k/(k+1) * pi0, so the root lies in [tau/mean, tau/(pi0 - tau)];
-        # bisecting log k bounds the relative error of k at every scale
+        # searching log k bounds the relative error of k at every scale
         res = bisect_root(
             f,
             math.log(tau / dist.mean()),

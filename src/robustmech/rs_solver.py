@@ -81,8 +81,9 @@ def level_search(
     returned).
 
     ``excess`` is nondecreasing in the level and taken as +inf at ``log_hi``.
-    log(pi) is bisected on [LOG_LEVEL_FLOOR, log_hi] down to adjacent floats,
-    so the level keeps float resolution at every scale.
+    log(pi) is searched on [LOG_LEVEL_FLOOR, log_hi] by ITP steps with a
+    bisection fallback down to adjacent floats, so the level keeps float
+    resolution at every scale; a search takes about 20 cuts.
     """
     floor = cut(dist, math.exp(LOG_LEVEL_FLOOR))
     flo = excess(floor)

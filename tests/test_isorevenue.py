@@ -6,11 +6,13 @@ import pytest
 from helpers import trapezoid_gap
 from robustmech import (
     InfeasibleLevelError,
+    Power,
     cut,
     gap_only,
     max_posted_revenue,
     worst_case_ccdf,
 )
+from robustmech.distributions import _SCAN_XS
 
 
 def uniform_gap_closed_form(pi: float) -> float:
@@ -31,6 +33,18 @@ class TestUniformCut:
         assert gap_only(uniform, pi) == pytest.approx(
             uniform_gap_closed_form(pi), abs=1e-10
         )
+
+    @pytest.mark.parametrize("pi", [math.exp(-700.0), 1e-300, 1e-30, 1e-6])
+    def test_first_crossing_at_tiny_levels(self, uniform, pi):
+        # the smaller root of x (1 - x) = pi, free of cancellation
+        exact = 2.0 * pi / (1.0 + math.sqrt(1.0 - 4.0 * pi))
+        u = cut(uniform, pi).intervals[0][0]
+        assert abs(u - exact) <= 1e-15 * exact
+
+    def test_level_at_first_grid_point_where_ccdf_is_one(self):
+        # Power(4) has ccdf(x) = 1 - x**4 == 1.0 at the first scan point
+        x0 = float(_SCAN_XS[0])
+        assert cut(Power(4.0), x0).intervals[0][0] == x0
 
     def test_interval_endpoints_on_iso_revenue_curve(self, uniform, beta25):
         for dist in (uniform, beta25):

@@ -48,3 +48,51 @@ def test_adaptive_simpson_kink_with_split():
     exact = 0.3**2 / 2 + 0.7**2 / 2
     assert val == pytest.approx(exact, abs=1e-12)
 
+
+
+def _plain_bisection_steps(f, lo, hi):
+    """Steps plain bisection needs to collapse [lo, hi] to adjacent floats,
+    counted the way ``bisect_root`` counts them (the collapse check is one)."""
+    a, b, fa = lo, hi, f(lo)
+    for it in range(1, 2000):
+        mid = 0.5 * (a + b)
+        if mid <= a or mid >= b:
+            return it
+        fm = f(mid)
+        if fm == 0.0:
+            return it
+        if math.copysign(1.0, fm) == math.copysign(1.0, fa):
+            a, fa = mid, fm
+        else:
+            b = mid
+    raise AssertionError("plain bisection did not collapse the bracket")
+
+
+@pytest.mark.parametrize("root", [0.3, 1.0 / 3.0, 0.7, 0.999, 1.234e-4])
+@pytest.mark.parametrize(
+    "shape",
+    [
+        pytest.param(lambda x, r: -1.0 if x < r else 10.0, id="jump"),
+        pytest.param(lambda x, r: (x - r) if x < r else 100.0 * (x - r), id="kink"),
+    ],
+)
+def test_bisect_worst_case_within_one_step_of_bisection(shape, root):
+    def f(x):
+        return shape(x, root)
+
+    res = bisect_root(f, 0.0, 1.0, xtol=0.0)
+    assert res.converged
+    assert abs(res.root - root) <= 2.0 * math.ulp(root)
+    assert res.iterations <= _plain_bisection_steps(f, 0.0, 1.0) + 1
+
+
+def test_bisect_smooth_root_is_superlinear():
+    res = bisect_root(lambda x: x * x - 2.0, 1.0, 2.0, xtol=0.0)
+    assert abs(res.root - math.sqrt(2.0)) <= math.ulp(math.sqrt(2.0))
+    assert res.iterations <= 12
+
+
+def test_bisect_infinite_end_values_converge():
+    res = bisect_root(lambda x: math.log(x) + 1.0, 0.0, 5.0, xtol=0.0, flo=-math.inf, fhi=math.inf)
+    assert res.converged
+    assert res.root == pytest.approx(math.exp(-1.0), rel=1e-15)

@@ -5,7 +5,10 @@ import pytest
 
 from helpers import random_empirical
 from robustmech import (
+    Beta,
     InfeasibleTargetError,
+    Mixture,
+    Uniform,
     expected_revenue,
     fragility_adjusted_revenue,
     gap_only,
@@ -249,3 +252,26 @@ class TestLevelSearch:
     def test_pi_star_below_floor_returns_floor_cut(self, uniform):
         # the root exp(-1/k) ~ exp(-1000) underflows the floor level
         assert pi_star(uniform, 1e-3) == math.exp(-700.0)
+
+    @pytest.mark.parametrize("frac", [0.05, 0.45, 0.95])
+    @pytest.mark.parametrize(
+        "dist",
+        [
+            pytest.param(Uniform(), id="uniform"),
+            pytest.param(Beta(2.0, 5.0), id="beta25"),
+            pytest.param(Mixture((Beta(2.0, 10.0), Beta(10.0, 2.0)), (0.85, 0.15)), id="bimodal"),
+        ],
+    )
+    def test_cuts_per_solve(self, dist, frac, monkeypatch):
+        # ITP steps take about 20 cuts where plain bisection of log(level)
+        # took about 60
+        calls = []
+
+        def counting_cut(d, pi):
+            calls.append(pi)
+            return cut(d, pi)
+
+        cut = rs_solver.cut
+        monkeypatch.setattr(rs_solver, "cut", counting_cut)
+        solve(dist, frac * max_posted_revenue(dist)[0])
+        assert 2 < len(calls) <= 30
