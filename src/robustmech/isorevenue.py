@@ -112,12 +112,13 @@ def _continuous_regions(dist: ValuationDistribution, pi: float):
     starts: list[float] = []
     ends: list[float] = []
     if mask[0]:
-        # g(xs[0]) >= pi; below xs[0], x ccdf(x) <= x and ccdf(x) >= ccdf(xs[0]),
-        # so the crossing is in [pi, min(xs[0], pi / ccdf(xs[0]))] (one float up
-        # for rounding), which is empty only when pi = xs[0] and ccdf is 1 there
+        # g(xs[0]) >= pi; x ccdf(x) <= x and ccdf(x) >= ccdf(xs[0]) below xs[0], so the
+        # crossing is in [pi, min(xs[0], pi / ccdf(xs[0]))] (a float up for rounding),
+        # or is pi if that is empty or f(pi) >= 0 (ccdf rounding above 1 at pi)
         x0 = float(xs[0])
         hi = min(x0, math.nextafter(pi / float(dist._ccdf(np.asarray(x0))), 1.0))
-        starts.append(refine_crossing(f, pi, hi) if pi < hi else pi)
+        fl = f(pi) if pi < hi else 0.0
+        starts.append(pi if fl >= 0.0 else refine_crossing(f, pi, hi, flo=fl))
     for j in edges:
         x = refine_crossing(f, float(xs[j]), float(xs[j + 1]))
         if mask[j]:

@@ -52,7 +52,8 @@ def bisect_root(
 
     ``flo``/``fhi`` may be supplied to avoid evaluating at an endpoint (for
     instance when the function diverges there; ``math.inf`` is accepted).
-    Beyond an exact zero, only their signs matter.
+    When finite they must be the true end values: ITP interpolates on them,
+    while an infinite value forces midpoints until that end moves.
     """
     if not lo < hi:
         raise BracketError(f"invalid bracket [{lo}, {hi}]")
@@ -77,8 +78,7 @@ def bisect_root(
             # bracket has collapsed to adjacent floats
             return RootResult(mid, it, fm if math.isfinite(fm) else 0.0, True)
         x = mid
-        r = budget - 0.5 * (b - a)
-        budget *= 0.5
+        r, budget = budget - 0.5 * (b - a), 0.5 * budget
         if r > 0.0 and math.isfinite(fa) and math.isfinite(fb):
             kappa1 = kappa1 or 0.2 / (b - a)
             xf = a + (b - a) * fa / (fa - fb)
@@ -109,10 +109,9 @@ def refine_crossing(
 ) -> float:
     """Refine a bracketed sign change down to float resolution.
 
-    Used to polish interval endpoints located by grid scans; ``bisect_root``
-    takes ITP steps (plain bisection where they do not apply) until the
-    bracket collapses to adjacent floats (well below 1e-12).  The iteration
-    cap accommodates roots many orders of magnitude below the bracket width.
+    Polishes interval endpoints located by grid scans with ITP steps (bisection
+    fallback) until the bracket collapses to adjacent floats (well below 1e-12);
+    the iteration cap accommodates roots many orders below the bracket width.
     """
     res = bisect_root(f, lo, hi, xtol=0.0, max_iter=1200, flo=flo, fhi=fhi)
     return res.root

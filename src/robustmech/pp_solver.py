@@ -54,7 +54,7 @@ class PPSolveReport:
     mechanism: PostedPrice
     iterations: int
     residual: float
-    #: "regular" (level search on the cut), "scan" (grid and slope bisection
+    #: "regular" (level search on the cut), "scan" (grid and slope root search
     #: per k), "empirical" (exact candidates per k) or "closed_form" (two atoms)
     path: str
     warnings: tuple[str, ...] = field(default=())

@@ -76,7 +76,7 @@ def level_search(
     excess: Callable[[IsoRevenueCut], float],
     log_hi: float,
 ) -> tuple[IsoRevenueCut, RootResult | None]:
-    """Cut at the root of ``excess(cut(pi))``, and the bisection (None when
+    """Cut at the root of ``excess(cut(pi))``, and the search (None when
     ``excess`` is already nonnegative at the floor level, whose cut is then
     returned).
 

@@ -223,6 +223,19 @@ class TestSatisficingGuarantee:
 class TestLevelSearch:
     """The one search over the level shared by the RS, PP and RO solvers."""
 
+    @pytest.fixture
+    def cut_levels(self, monkeypatch):
+        """The levels ``rs_solver.cut`` is called at, in call order."""
+        levels = []
+        inner = rs_solver.cut
+
+        def recording_cut(d, pi):
+            levels.append(pi)
+            return inner(d, pi)
+
+        monkeypatch.setattr(rs_solver, "cut", recording_cut)
+        return levels
+
     @pytest.mark.parametrize(
         "search",
         [
@@ -234,20 +247,12 @@ class TestLevelSearch:
         ],
     )
     @pytest.mark.parametrize("fixture", ["uniform", "beta25"])
-    def test_no_level_is_cut_twice(self, search, fixture, request, monkeypatch):
+    def test_no_level_is_cut_twice(self, search, fixture, request, cut_levels):
         dist = request.getfixturevalue(fixture)
-        levels = []
-
-        def recording_cut(d, pi):
-            levels.append(pi)
-            return cut(d, pi)
-
-        cut = rs_solver.cut
-        monkeypatch.setattr(rs_solver, "cut", recording_cut)
         result = search(dist)
         assert getattr(result, "path", "regular") == "regular"
-        assert len(levels) > 2
-        assert len(set(levels)) == len(levels)
+        assert len(cut_levels) > 2
+        assert len(set(cut_levels)) == len(cut_levels)
 
     def test_pi_star_below_floor_returns_floor_cut(self, uniform):
         # the root exp(-1/k) ~ exp(-1000) underflows the floor level
@@ -262,16 +267,24 @@ class TestLevelSearch:
             pytest.param(Mixture((Beta(2.0, 10.0), Beta(10.0, 2.0)), (0.85, 0.15)), id="bimodal"),
         ],
     )
-    def test_cuts_per_solve(self, dist, frac, monkeypatch):
+    def test_cuts_per_solve(self, dist, frac, cut_levels):
         # ITP steps take about 20 cuts where plain bisection of log(level)
         # took about 60
-        calls = []
-
-        def counting_cut(d, pi):
-            calls.append(pi)
-            return cut(d, pi)
-
-        cut = rs_solver.cut
-        monkeypatch.setattr(rs_solver, "cut", counting_cut)
         solve(dist, frac * max_posted_revenue(dist)[0])
-        assert 2 < len(calls) <= 30
+        assert 2 < len(cut_levels) <= 30
+
+    @pytest.mark.parametrize(
+        "search",
+        [
+            pytest.param(lambda d: solve(d, 0.1).k_star, id="solve"),
+            pytest.param(lambda d: pi_star(d, 0.56), id="pi_star"),
+            pytest.param(lambda d: solve_pp(d, 0.1).k_pp, id="solve_pp"),
+            pytest.param(lambda d: solve_ro(d, 0.05).pi_ro_star, id="solve_ro"),
+            pytest.param(lambda d: tau_equiv(d, 0.05), id="tau_equiv"),
+        ],
+    )
+    def test_ccdf_rounding_above_one_at_floor(self, search):
+        # weights summing to 1 + 1e-10 pass validation and put ccdf(pi) above 1
+        # at tiny pi, so the floor cut's first crossing is pi itself
+        mixture = Mixture((Uniform(), Uniform()), (0.5, 0.5 + 1e-10))
+        assert search(mixture) == pytest.approx(search(Uniform()), rel=1e-8)
