@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,6 +103,13 @@ def _exact_expected_revenue(mech: Mechanism, p: ValuationDistribution) -> float:
     )
 
 
+def _check_mc_n(mc_n, least: int) -> None:
+    if not isinstance(mc_n, numbers.Integral) or mc_n < least:
+        raise DomainError(
+            f"Monte Carlo sample size must be an integer >= {least}, got {mc_n!r}"
+        )
+
+
 def expected_revenue(
     mech: Mechanism,
     p: ValuationDistribution,
@@ -115,6 +123,7 @@ def expected_revenue(
         value = _exact_expected_revenue(mech, p)
         return EvalReport(mech.describe(), p, value, "quadrature")
     if method == "monte_carlo":
+        _check_mc_n(mc_n, 1)
         rng = np.random.default_rng(seed)
         draws = p.sample(mc_n, rng)
         pays = mech.payment(draws)
@@ -342,6 +351,9 @@ class SweepConfig:
     reference: ValuationDistribution = field(default_factory=Uniform)
     seed: int = DEFAULT_SEED
     mc_n: int = 0
+
+    def __post_init__(self):
+        _check_mc_n(self.mc_n, 0)
 
     def to_json(self) -> dict:
         return {

@@ -11,7 +11,10 @@ drive the fragility first-order condition.
 from __future__ import annotations
 
 import math
+import operator
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -100,18 +103,69 @@ def _empirical_regions(dist: Empirical, pi: float):
     return intervals, a[touch & ~join].tolist()
 
 
+@lru_cache(maxsize=64)
+def _monotone_runs(dist: ValuationDistribution):
+    """Maximal monotone runs of the cached revenue grid g = x * ccdf(x).
+
+    Run i spans grid points bounds[i]..bounds[i + 1] (neighbours share their
+    boundary point) and is nondecreasing when rising[i], nonincreasing
+    otherwise; flat steps join the run they sit in.  Returns the bounds, the
+    directions and g at each run's two ends.
+    """
+    _, g = _scan_grid(dist)
+    # int8 steps keep the scratch arrays small next to the 0.8 MB grid
+    step = (g[1:] > g[:-1]).view(np.int8) - (g[1:] < g[:-1]).view(np.int8)
+    moves = step[step != 0]
+    heads = np.flatnonzero(moves[1:] != moves[:-1]) + 1
+    # a run goes the way of its first step that is not flat
+    rising = moves[np.concatenate(([0], heads))] > 0
+    # the k-th step that is not flat follows every flat step i with
+    # flat[i] - i <= k
+    flat = np.flatnonzero(step == 0)
+    turns = heads + np.searchsorted(flat - np.arange(len(flat)), heads, side="right")
+    bounds = np.concatenate(([0], turns, [len(g) - 1]))
+    runs = bounds, rising, g[bounds[:-1]], g[bounds[1:]]
+    for a in runs:
+        # every caller shares the cached arrays
+        a.setflags(write=False)
+    return runs
+
+
+def _crossing_cells(dist: ValuationDistribution, pi: float) -> list[tuple[int, bool]]:
+    """Cells [xs[j], xs[j + 1]] of the cached grid where g = x * ccdf(x)
+    crosses pi, in order, each with whether g rises through pi there.
+
+    g >= pi holds on one end of a monotone run, so a run whose two ends
+    straddle pi holds exactly one such cell, found by one binary search.
+    """
+    _, g = _scan_grid(dist)
+    bounds, rising, g_first, g_last = _monotone_runs(dist)
+    up = rising & (g_first < pi) & (g_last >= pi)
+    down = ~rising & (g_first >= pi) & (g_last < pi)
+    cells = []
+    for i in np.flatnonzero(up | down):
+        lo, hi = int(bounds[i]), int(bounds[i + 1]) + 1
+        if up[i]:
+            # first point of the run at or above pi
+            cells.append((bisect_left(g, pi, lo, hi) - 1, True))
+        else:
+            # first point of the run below pi; bisect reads the run in place
+            cells.append((bisect_right(g, -pi, lo, hi, key=operator.neg) - 1, False))
+    return cells
+
+
 def _continuous_regions(dist: ValuationDistribution, pi: float):
-    """Sign-change scan of g(x) = x * ccdf(x) - pi, refined to float resolution."""
+    """Crossings of g(x) = x * ccdf(x) and pi, refined to float resolution
+    from the grid cells that hold them, with the grid values at a cell's ends
+    as the refinement's end values."""
     xs, g = _scan_grid(dist)
 
     def f(x: float) -> float:
         return x * float(dist._ccdf(np.asarray(x))) - pi
 
-    mask = g >= pi
-    edges = np.flatnonzero(mask[1:] != mask[:-1])
     starts: list[float] = []
     ends: list[float] = []
-    if mask[0]:
+    if g[0] >= pi:
         # g(xs[0]) >= pi; x ccdf(x) <= x and ccdf(x) >= ccdf(xs[0]) below xs[0], so the
         # crossing is in [pi, min(xs[0], pi / ccdf(xs[0]))] (a float up for rounding),
         # or is pi if that is empty or f(pi) >= 0 (ccdf rounding above 1 at pi)
@@ -119,13 +173,13 @@ def _continuous_regions(dist: ValuationDistribution, pi: float):
         hi = min(x0, math.nextafter(pi / float(dist._ccdf(np.asarray(x0))), 1.0))
         fl = f(pi) if pi < hi else 0.0
         starts.append(pi if fl >= 0.0 else refine_crossing(f, pi, hi, flo=fl))
-    for j in edges:
-        x = refine_crossing(f, float(xs[j]), float(xs[j + 1]))
-        if mask[j]:
-            ends.append(x)
-        else:
-            starts.append(x)
-    if mask[-1]:
+    for j, rises in _crossing_cells(dist, pi):
+        # the grid is f's expression on an array, so g[j] - pi is f(xs[j])
+        x = refine_crossing(
+            f, float(xs[j]), float(xs[j + 1]), flo=float(g[j]) - pi, fhi=float(g[j + 1]) - pi
+        )
+        (starts if rises else ends).append(x)
+    if g[-1] >= pi:
         ends.append(1.0)
     intervals = [(u, w) for u, w in zip(starts, ends)]
     return intervals, []

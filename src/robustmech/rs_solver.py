@@ -20,7 +20,7 @@ levels with ``level_search`` too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from .distributions import ValuationDistribution, max_posted_revenue
@@ -71,6 +71,11 @@ def fragility_adjusted_revenue(
     return pi + k * gap_only(dist, pi)
 
 
+#: offsets below log_hi, in log(level), of the levels cut before the root
+#: finder starts; it starts from the first with a negative excess
+_PROBE_STEPS = (1.0, 4.0, 16.0, 64.0, 256.0)
+
+
 def level_search(
     dist: ValuationDistribution,
     excess: Callable[[IsoRevenueCut], float],
@@ -78,12 +83,15 @@ def level_search(
 ) -> tuple[IsoRevenueCut, RootResult | None]:
     """Cut at the root of ``excess(cut(pi))``, and the search (None when
     ``excess`` is already nonnegative at the floor level, whose cut is then
-    returned).
+    returned).  The search's ``iterations`` counts every level it cut after
+    the floor.
 
     ``excess`` is nondecreasing in the level and taken as +inf at ``log_hi``.
-    log(pi) is searched on [LOG_LEVEL_FLOOR, log_hi] by ITP steps with a
-    bisection fallback down to adjacent floats, so the level keeps float
-    resolution at every scale; a search takes about 20 cuts.
+    After the floor, the levels log_hi - 1, - 4, - 16, - 64 and - 256 are cut
+    down to the first with a negative excess (or the floor), and log(pi) is
+    searched between that level and the last one above it by ITP steps with
+    a bisection fallback down to adjacent floats, so the level keeps float
+    resolution at every scale; a search takes about 15 cuts.
     """
     floor = cut(dist, math.exp(LOG_LEVEL_FLOOR))
     flo = excess(floor)
@@ -91,14 +99,30 @@ def level_search(
         return floor, None
     # the root is the last level evaluated on one side of the sign change
     ends = {True: floor}
+    cuts = 0
 
     def f(t: float) -> float:
+        nonlocal cuts
+        cuts += 1
         c = cut(dist, math.exp(t))
         e = excess(c)
         ends[e < 0.0] = c
         return e
 
-    res = bisect_root(f, LOG_LEVEL_FLOOR, log_hi, xtol=0.0, flo=flo, fhi=math.inf)
+    lo, hi = LOG_LEVEL_FLOOR, log_hi
+    for step in _PROBE_STEPS:
+        t = log_hi - step
+        if t <= LOG_LEVEL_FLOOR:
+            break
+        e = f(t)
+        if e < 0.0:
+            lo, flo = t, e
+            break
+        hi = t
+    # a finite end value far from the root misleads the interpolation and
+    # costs more cuts than midpoints do, so the upper end stays +inf
+    res = bisect_root(f, lo, hi, xtol=0.0, flo=flo, fhi=math.inf)
+    res = replace(res, iterations=cuts)
     level = math.exp(res.root)
     for c in ends.values():
         if c.pi == level:

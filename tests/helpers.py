@@ -102,6 +102,14 @@ def atom_best_posted(p: Empirical, k: float) -> float:
     return max(atom_rho_pp(p, c, k) for c in cands if 0.0 < c <= 1.0)
 
 
+def mask_crossing_cells(g: np.ndarray, pi: float) -> list[tuple[int, bool]]:
+    """Cells [j, j + 1] of a revenue grid g where g >= pi changes truth value,
+    read off a mask over the whole grid, each with whether g rises through
+    pi there."""
+    mask = g >= pi
+    return [(int(j), not mask[j]) for j in np.flatnonzero(mask[1:] != mask[:-1])]
+
+
 def loop_empirical_regions(p: Empirical, pi: float, band: float = 1e-12):
     """Cut intervals and tie points of an empirical reference, one step at a
     time: the step of height L enters at max(left end, pi/L); it extends the

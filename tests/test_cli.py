@@ -189,6 +189,15 @@ class TestEvaluate:
         )
         assert rep["eta_rs"] > 0.0
 
+    def test_negative_monte_carlo_size_is_a_usage_error(self, capsys):
+        code, stdout, stderr = run_cli(
+            capsys, "evaluate", "--reference", UNIFORM, "--tau", "0.2",
+            "--true", UNIFORM, "--mc-n", "-5",
+        )
+        assert code == EXIT_USAGE
+        assert stdout == ""
+        assert "Monte Carlo sample size must be an integer >= 1, got -5" in stderr
+
     def test_ratio_matches_eta_rs(self, capsys):
         truth = '{"kind":"beta","alpha":2.0,"beta":5.0}'
         code, stdout, _ = run_cli(
@@ -217,6 +226,15 @@ class TestSweep:
         lines = csv_path.read_text().strip().splitlines()
         assert len(lines) == 9
         assert lines[0].startswith("alpha,beta,tau_over_pi0")
+
+    def test_negative_monte_carlo_size_is_a_usage_error(self, capsys):
+        code, stdout, stderr = run_cli(
+            capsys, "sweep", "--reference", UNIFORM, "--grid", "alphas=1;betas=1;taus=0.2",
+            "--mc-n", "-5",
+        )
+        assert code == EXIT_USAGE
+        assert stdout == ""
+        assert "Monte Carlo sample size must be an integer >= 0, got -5" in stderr
 
     def test_bad_grid_key(self, capsys):
         code, _, _ = run_cli(

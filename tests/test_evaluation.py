@@ -102,6 +102,15 @@ class TestExpectedRevenue:
         with pytest.raises(DomainError):
             expected_revenue(PostedPrice(0.5), uniform, "quasi")
 
+    @pytest.mark.parametrize("mc_n", [0, -5, 2.5, "100"])
+    def test_monte_carlo_sample_size_must_be_a_positive_integer(self, uniform, mc_n):
+        with pytest.raises(DomainError, match="Monte Carlo sample size"):
+            expected_revenue(PostedPrice(0.5), uniform, "monte_carlo", mc_n=mc_n)
+
+    def test_monte_carlo_accepts_numpy_integer(self, uniform):
+        rep = expected_revenue(PostedPrice(0.5), uniform, "monte_carlo", mc_n=np.int64(10))
+        assert rep.mc_n == 10
+
 
 class TestEtaRS:
     def test_degenerate_truth_at_one(self, uniform):
@@ -293,6 +302,11 @@ class TestBetaSweep:
         assert a.rev_rs == pytest.approx(exact.rev_rs, abs=0.005)
         assert a.rev_ro == pytest.approx(exact.rev_ro, abs=0.005)
         assert a.rev_pp == pytest.approx(exact.rev_pp, abs=0.005)
+
+    @pytest.mark.parametrize("mc_n", [-3, 2.5])
+    def test_config_rejects_bad_monte_carlo_sample_size(self, mc_n):
+        with pytest.raises(DomainError, match="Monte Carlo sample size"):
+            SweepConfig(mc_n=mc_n)
 
     def test_csv_shape(self):
         cells = beta_sweep(SMALL_SWEEP)

@@ -3,16 +3,34 @@ import math
 import numpy as np
 import pytest
 
-from helpers import trapezoid_gap
+from helpers import mask_crossing_cells, trapezoid_gap
 from robustmech import (
+    Beta,
+    Empirical,
     InfeasibleLevelError,
+    Mixture,
     Power,
+    TruncatedExponential,
+    Uniform,
+    ValuationDistribution,
     cut,
     gap_only,
     max_posted_revenue,
     worst_case_ccdf,
 )
-from robustmech.distributions import _SCAN_XS
+from robustmech.distributions import _SCAN_XS, _scan_grid
+from robustmech.isorevenue import _crossing_cells
+
+# the references of the benchmark's solve-mix workload
+SOLVE_MIX_REFERENCES = {
+    "uniform": Uniform(),
+    "power3": Power(3.0),
+    "texp1": TruncatedExponential(1.0),
+    "beta2_5": Beta(2.0, 5.0),
+    "beta.5_.5": Beta(0.5, 0.5),
+    "mixture": Mixture((Beta(2.0, 10.0), Beta(10.0, 2.0)), (0.85, 0.15)),
+    "two_point": Empirical(((0.3, 0.5), (0.7, 0.5))),
+}
 
 
 def uniform_gap_closed_form(pi: float) -> float:
@@ -53,6 +71,52 @@ class TestUniformCut:
                 (u, w), = cut(dist, pi).intervals
                 assert u * dist.ccdf(u) == pytest.approx(pi, abs=1e-9)
                 assert w * dist.ccdf(w) == pytest.approx(pi, abs=1e-9)
+
+
+class RevenuePlateau(ValuationDistribution):
+    """ccdf = min(1, 0.3/x): the posted revenue is 0.3 at every price from
+    0.3 up, so rounding alone moves its grid, with flat steps between turns."""
+
+    def _ccdf(self, xs):
+        return np.minimum(1.0, 0.3 / xs)
+
+
+GRID_REFERENCES = {**SOLVE_MIX_REFERENCES, "plateau": RevenuePlateau()}
+
+
+class TestCrossingCells:
+    """Binary searches on the monotone runs of the revenue grid find the cells
+    that a mask over the whole grid finds."""
+
+    @pytest.mark.parametrize("name", GRID_REFERENCES)
+    def test_match_full_mask(self, name):
+        dist = GRID_REFERENCES[name]
+        xs, g = _scan_grid(dist)
+        pi0, _ = max_posted_revenue(dist)
+        rng = np.random.default_rng(8)
+        # rounding makes g step up and down near its peak and in its tail
+        top = int(np.argmax(g))
+        at_grid = np.concatenate(
+            (g[rng.integers(0, len(g), 300)], g[top - 50 : top + 50], g[-100:])
+        )
+        levels = np.concatenate(
+            (
+                rng.uniform(0.0, pi0, 300),
+                at_grid,
+                np.nextafter(at_grid, 0.0),
+                np.nextafter(at_grid, 1.0),
+                np.exp(rng.uniform(-700.0, math.log(pi0), 100)),
+                [math.exp(-700.0), xs[0], pi0, g[0], g[-1]],
+            )
+        )
+        for pi in levels.tolist():
+            assert _crossing_cells(dist, pi) == mask_crossing_cells(g, pi), pi
+
+    def test_power4_at_first_grid_point(self):
+        dist = Power(4.0)
+        _, g = _scan_grid(dist)
+        x0 = float(_SCAN_XS[0])
+        assert _crossing_cells(dist, x0) == mask_crossing_cells(g, x0)
 
 
 class TestEmpiricalCut:

@@ -268,10 +268,25 @@ class TestLevelSearch:
         ],
     )
     def test_cuts_per_solve(self, dist, frac, cut_levels):
-        # ITP steps take about 20 cuts where plain bisection of log(level)
-        # took about 60
+        # probes down from log(tau) and ITP steps between two of them take
+        # about 15 cuts; ITP from the floor took about 20, plain bisection
+        # of log(level) about 60
         solve(dist, frac * max_posted_revenue(dist)[0])
-        assert 2 < len(cut_levels) <= 30
+        assert 2 < len(cut_levels) <= 20
+
+    @pytest.mark.parametrize(
+        "search",
+        [
+            pytest.param(lambda d: solve(d, 0.45 * max_posted_revenue(d)[0]), id="solve"),
+            pytest.param(lambda d: solve_pp(d, 0.45 * max_posted_revenue(d)[0]), id="solve_pp"),
+            pytest.param(lambda d: solve_ro(d, 0.1 * d.mean()), id="solve_ro"),
+        ],
+    )
+    @pytest.mark.parametrize("fixture", ["uniform", "beta25"])
+    def test_iterations_count_every_level_cut(self, search, fixture, request, cut_levels):
+        # every level after the floor, the probes included
+        report = search(request.getfixturevalue(fixture))
+        assert report.iterations == len(cut_levels) - 1
 
     @pytest.mark.parametrize(
         "search",
