@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import betainc, betaincinv
+from scipy.special import betainc, betaincinv, betaln
 
-from .errors import DomainError
+from .errors import DomainError, any_outside, check_count
 from .numerics import adaptive_simpson, golden_section_max, refine_crossing
 
 __all__ = [
@@ -71,7 +71,7 @@ class ValuationDistribution:
     def ccdf(self, x):
         """P(v > x) for x in [0, 1]; right-continuous and nonincreasing."""
         xs, scalar = _as_array(x)
-        if np.any(xs < -1e-12) or np.any(xs > 1.0 + 1e-12):
+        if any_outside(xs, -1e-12, 1.0 + 1e-12):
             raise DomainError(f"valuation {x!r} outside [0, 1]")
         return _maybe_scalar(self._ccdf(np.clip(xs, 0.0, 1.0)), scalar)
 
@@ -82,7 +82,8 @@ class ValuationDistribution:
         so 0 is excluded from the domain.
         """
         xs, scalar = _as_array(x)
-        if np.any(xs <= 0.0) or np.any(xs > 1.0 + 1e-12):
+        # the least positive float is the least valuation in (0, 1]
+        if any_outside(xs, math.ulp(0.0), 1.0 + 1e-12):
             raise DomainError(f"valuation {x!r} outside (0, 1]")
         return _maybe_scalar(self._ccdf_left(np.minimum(xs, 1.0)), scalar)
 
@@ -90,7 +91,10 @@ class ValuationDistribution:
         return self._ccdf(xs)
 
     def cdf(self, x):
+        """P(v <= x) for x in [0, 1]."""
         xs, scalar = _as_array(x)
+        if any_outside(xs, -1e-12, 1.0 + 1e-12):
+            raise DomainError(f"valuation {x!r} outside [0, 1]")
         return _maybe_scalar(1.0 - self._ccdf(np.clip(xs, 0.0, 1.0)), scalar)
 
     def mean(self) -> float:
@@ -98,7 +102,13 @@ class ValuationDistribution:
         return self.ccdf_integral(0.0, 1.0)
 
     def ccdf_integral(self, a: float, b: float) -> float:
-        """Integral of the CCDF over [a, b]; zero when b <= a."""
+        """Integral of the CCDF over [a, b] within [0, 1]; zero when b <= a."""
+        # scalar comparisons, which NaN and the infinities fail: this runs per
+        # menu interval in every solve and evaluation
+        if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
+            if not (-1e-12 <= a <= 1.0 + 1e-12 and -1e-12 <= b <= 1.0 + 1e-12):
+                raise DomainError(f"integration limits ({a!r}, {b!r}) outside [0, 1]")
+            a, b = min(max(a, 0.0), 1.0), min(max(b, 0.0), 1.0)
         return 0.0 if b <= a else float(self._integrals(a, b))
 
     def _integrals(self, a, b):
@@ -120,7 +130,7 @@ class ValuationDistribution:
     def quantile(self, u):
         """Inverse CDF; accepts scalars or arrays of probabilities."""
         us, scalar = _as_array(u)
-        if np.any(us < 0.0) or np.any(us > 1.0):
+        if any_outside(us, 0.0, 1.0):
             raise DomainError("quantile argument outside [0, 1]")
         return _maybe_scalar(self._quantile(us), scalar)
 
@@ -136,6 +146,8 @@ class ValuationDistribution:
         return 0.5 * (lo + hi)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """n inverse-CDF draws Q(U), U from ``rng.random``."""
+        check_count(n, 0, "sample size")
         return self._quantile(rng.random(n))
 
     def to_json(self) -> dict:
@@ -236,7 +248,16 @@ class TruncatedExponential(ValuationDistribution):
 
 @dataclass(frozen=True)
 class Beta(ValuationDistribution):
-    """Beta(alpha, beta) distribution; CCDF via the regularized incomplete beta."""
+    """Beta(alpha, beta) distribution; CCDF via the regularized incomplete beta.
+
+    The quantile takes about one ``betainc`` per draw: it starts from a cached
+    table of ``betaincinv`` knots (linear in each cell, the power-law tail in
+    the first), takes one Halley step on log I(alpha, beta, x) = log u
+    against log x, and polishes the few draws that step moved by more than
+    1e-5 relative, bracketing any that still move.  Above u = 1/2 it solves
+    I(beta, alpha, y) = 1 - u in y = 1 - x instead, so that each draw keeps
+    its precision relative to the nearer end of [0, 1] (see ``_beta_knots``).
+    """
 
     alpha: float
     beta: float
@@ -267,10 +288,145 @@ class Beta(ValuationDistribution):
         return self._partial_mean_integral(b) - self._partial_mean_integral(a)
 
     def _quantile(self, us):
-        return betaincinv(self.alpha, self.beta, us)
+        return _beta_quantile(self.alpha, self.beta, us)
 
     def to_json(self):
         return {"kind": "beta", "alpha": self.alpha, "beta": self.beta}
+
+
+#: cells of the cached Beta quantile table, whose knots sit at u = k / 1024
+_QUANTILE_CELLS = 1024
+#: draws per block of the kernel: about 1 MB of scratch arrays
+_QUANTILE_BLOCK = 16_384
+#: a Halley step no longer than this, relative to the nearer end of [0, 1],
+#: leaves the draw within rounding of its root: the error left is cubic in it
+_HALLEY_RTOL = 1e-5
+#: Halley steps a draw may take after its first before it is bracketed
+_HALLEY_STEPS = 6
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
+
+
+@lru_cache(maxsize=64)
+def _beta_knots(a: float, b: float):
+    """The split and quantile knots of Beta(a, b), built once per shape.
+
+    Draws with u <= split solve I(a, b, x) = u, the others I(b, a, y) = 1 - u
+    in y = 1 - x, where 1 - u is exact.  The split is u = 1/2, moved up to
+    I(a, b, 2**-10) when more than half the mass lies below x = 2**-10: only
+    above that x does x = 1 - y keep 1e-13 relative precision (half an ulp of
+    y is below 6e-14 x), while below it, where that mass sits, I - u pins x
+    down.  Each side's knots are ``betaincinv`` at w = k / 1024, up to its
+    split.
+    """
+    split = max(0.5, float(betainc(a, b, 2.0**-10)))
+    ws = np.arange(_QUANTILE_CELLS + 1) / _QUANTILE_CELLS
+    lower = betaincinv(a, b, ws[: math.ceil(split * _QUANTILE_CELLS) + 1])
+    upper = betaincinv(b, a, ws[: max(math.ceil((1.0 - split) * _QUANTILE_CELLS), 1) + 1])
+    for t in (lower, upper):
+        t.flags.writeable = False
+    return split, lower, upper
+
+
+def _beta_quantile(a: float, b: float, us: np.ndarray) -> np.ndarray:
+    """Q(u) of Beta(a, b) for u in [0, 1], each side of the split solved from
+    its own end (see ``_beta_knots``), in blocks of ``_QUANTILE_BLOCK`` draws
+    so that the kernel's scratch arrays stay small beside its output."""
+    split, lower, upper = _beta_knots(a, b)
+    out = np.empty_like(us)
+    flat_us, flat_out = us.reshape(-1), out.reshape(-1)
+    for start in range(0, flat_us.size, _QUANTILE_BLOCK):
+        u = flat_us[start : start + _QUANTILE_BLOCK]
+        x = flat_out[start : start + _QUANTILE_BLOCK]
+        low = u <= split
+        x[low] = _lower_quantile(a, b, u[low], lower)
+        high = ~low
+        x[high] = 1.0 - _lower_quantile(b, a, 1.0 - u[high], upper)
+    return out
+
+
+def _lower_quantile(p: float, q: float, w: np.ndarray, knots: np.ndarray) -> np.ndarray:
+    """Solve I(p, q, z) = w for w up to the knots' end, about one ``betainc``
+    per draw.
+
+    Start from the knot table, linear in each cell but for the first, where
+    the power-law tail (w p B(p, q))**(1/p) holds; take one Halley step; and
+    polish only the draws that step moved by more than ``_HALLEY_RTOL``.
+    """
+    pos = w * _QUANTILE_CELLS
+    k = np.minimum(pos.astype(np.intp), len(knots) - 2)
+    z = knots[k]
+    z += (pos - k) * (knots[k + 1] - z)
+    first = np.flatnonzero(k == 0)
+    with np.errstate(divide="ignore"):  # w = 0 starts at 0
+        tail = np.exp((np.log(w[first]) + math.log(p) + betaln(p, q)) / p)
+    z[first] = np.minimum(tail, knots[1])
+    moved = _halley_step(p, q, z, w)
+    again = np.flatnonzero(~(moved <= _HALLEY_RTOL))
+    if again.size:
+        cell = k[again]
+        z[again] = _polish(p, q, z[again], w[again], knots[cell], knots[cell + 1])
+    return z
+
+
+def _halley_step(p, q, z, w):
+    """Take Halley's step on log I(p, q, z) = log w against log z, in place;
+    return its length relative to the nearer end of [0, 1].
+
+    With g = z pdf / I, the slope of log I against log z, the Newton step is
+    t = log(I / w) / g and the curvature ratio is p - (q - 1) z / (1 - z) - g,
+    so the step is t / (1 - t (p - (q-1) z/(1-z) - g) / 2).  On the power-law
+    tails log I is nearly linear in log z, so the step converges from afar,
+    and no term overflows as z -> 0.  A point at 0 or 1 stays: it is a start
+    there only when the root rounds to it.  Where I or the density underflows
+    the step is not finite, and the draw is left to ``_polish``.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        odds = z / (1.0 - z)
+        big_i = betainc(p, q, z)
+        g = np.exp(p * np.log(z) + (q - 1.0) * np.log1p(-z) - betaln(p, q)) / big_i
+        t = np.log1p((big_i - w) / w) / g
+        t /= 1.0 - 0.5 * t * (p - (q - 1.0) * odds - g)
+        np.copyto(t, 0.0, where=(z <= 0.0) | (z >= 1.0))
+        z *= np.exp(-t)
+        t = np.abs(t, out=t)
+        # relative to 1 - z near 1, but not below the float spacing at z
+        return t * np.clip(odds, 1.0, _HALLEY_RTOL / _EPS, out=odds)
+
+
+def _polish(p, q, z, w, lo, hi):
+    """Finish the draws whose first Halley step was long: more Halley steps,
+    each from inside the knot cell [lo, hi] that brackets the root (from its
+    midpoint when the last step left the cell), then bracketed ITP steps for
+    any draw still moving after ``_HALLEY_STEPS``."""
+    # a root below the least normal float, where betaincinv's knots stop, has
+    # no relative precision left to find: keep the first step in [0, hi]
+    sub = hi <= _TINY
+    z[sub] = np.fmin(np.fmax(z[sub], 0.0), hi[sub])  # fmax maps NaN to 0
+    todo = np.flatnonzero(~sub)
+    for _ in range(_HALLEY_STEPS):
+        zt, a, b = z[todo], lo[todo], hi[todo]
+        zt = np.where((zt > a) & (zt < b), zt, 0.5 * (a + b))
+        moved = _halley_step(p, q, zt, w[todo])
+        z[todo] = zt
+        todo = todo[~(moved <= _HALLEY_RTOL)]
+        if not todo.size:
+            return z
+    for i in todo.tolist():
+        wi = float(w[i])
+
+        def f(x, wi=wi):
+            return float(betainc(p, q, x)) - wi
+
+        # step past a knot that misses the root (betaincinv is not exact)
+        a, b = float(lo[i]), float(hi[i])
+        fa, fb = f(a), f(b)
+        if not fa <= 0.0:
+            a, b, fa, fb = 0.0, a, -wi, fa
+        elif not fb >= 0.0:
+            a, b, fa, fb = b, 1.0, fb, 1.0 - wi
+        z[i] = b if math.nextafter(a, 1.0) >= b else refine_crossing(f, a, b, flo=fa, fhi=fb)
+    return z
 
 
 @dataclass(frozen=True)
@@ -311,6 +467,7 @@ class Mixture(ValuationDistribution):
 
     def sample(self, n, rng):
         # pick each draw's component, then invert that component's CDF
+        check_count(n, 0, "sample size")
         which = np.searchsorted(np.cumsum(self.weights), rng.random(n), side="right")
         which = np.minimum(which, len(self.components) - 1)
         us = rng.random(n)

@@ -1,4 +1,9 @@
-"""Exception types shared across the solvers."""
+"""Exception types shared across the solvers, and the input checks behind
+``DomainError``."""
+
+import numbers
+
+import numpy as np
 
 
 class RobustMechError(Exception):
@@ -49,3 +54,15 @@ class UnsupportedReferenceError(RobustMechError, ValueError):
 
 class BracketError(RobustMechError, ValueError):
     """A root bracket does not enclose a sign change."""
+
+
+def any_outside(xs: np.ndarray, lo: float, hi: float) -> bool:
+    """True when an element of ``xs`` is not in [lo, hi]; the comparisons are
+    negated, so NaN is outside."""
+    return bool((~(xs >= lo) | ~(xs <= hi)).any())
+
+
+def check_count(n, least: int, what: str) -> None:
+    """Raise ``DomainError`` unless ``n`` is an integer >= ``least``."""
+    if not isinstance(n, numbers.Integral) or n < least:
+        raise DomainError(f"{what} must be an integer >= {least}, got {n!r}")

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +22,7 @@ from .distributions import (
     max_posted_revenue,
     wasserstein_distance,
 )
-from .errors import DomainError, InfeasibleTargetError
+from .errors import DomainError, InfeasibleTargetError, check_count
 from .isorevenue import cut
 from .mechanisms import Mechanism, PostedPrice
 from .numerics import refine_crossing
@@ -103,13 +102,6 @@ def _exact_expected_revenue(mech: Mechanism, p: ValuationDistribution) -> float:
     )
 
 
-def _check_mc_n(mc_n, least: int) -> None:
-    if not isinstance(mc_n, numbers.Integral) or mc_n < least:
-        raise DomainError(
-            f"Monte Carlo sample size must be an integer >= {least}, got {mc_n!r}"
-        )
-
-
 def expected_revenue(
     mech: Mechanism,
     p: ValuationDistribution,
@@ -118,12 +110,18 @@ def expected_revenue(
     mc_n: int = DEFAULT_MC_N,
     seed: int = DEFAULT_SEED,
 ) -> EvalReport:
-    """E_P[m(v)]: exact piecewise integration or seeded inverse-CDF sampling."""
+    """E_P[m(v)]: exact piecewise integration or seeded inverse-CDF sampling.
+
+    ``monte_carlo`` averages the payment over ``p.sample(mc_n, rng)`` with
+    ``rng = default_rng(seed)``: draws Q(U) from the closed-form quantile of
+    each family; a Beta law (alone or in a mixture) inverts its CDF from a
+    cached knot table and one Halley step per draw.
+    """
     if method == "quadrature":
         value = _exact_expected_revenue(mech, p)
         return EvalReport(mech.describe(), p, value, "quadrature")
     if method == "monte_carlo":
-        _check_mc_n(mc_n, 1)
+        check_count(mc_n, 1, "Monte Carlo sample size")
         rng = np.random.default_rng(seed)
         draws = p.sample(mc_n, rng)
         pays = mech.payment(draws)
@@ -353,7 +351,7 @@ class SweepConfig:
     mc_n: int = 0
 
     def __post_init__(self):
-        _check_mc_n(self.mc_n, 0)
+        check_count(self.mc_n, 0, "Monte Carlo sample size")
 
     def to_json(self) -> dict:
         return {

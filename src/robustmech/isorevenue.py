@@ -24,7 +24,7 @@ from .distributions import (
     _scan_grid,
     max_posted_revenue,
 )
-from .errors import DomainError, InfeasibleLevelError
+from .errors import DomainError, InfeasibleLevelError, any_outside
 from .numerics import refine_crossing
 
 __all__ = ["IsoRevenueCut", "cut", "gap_only", "worst_case_ccdf"]
@@ -216,7 +216,8 @@ def worst_case_ccdf(dist: ValuationDistribution, pi: float, x):
     """CCDF of the truncated iso-revenue distribution min{ccdf(x), pi/x}."""
     _validate_level(dist, pi)
     xs = np.asarray(x, dtype=float)
-    if np.any(xs <= 0.0) or np.any(xs > 1.0):
+    # the least positive float is the least valuation in (0, 1]
+    if any_outside(xs, math.ulp(0.0), 1.0):
         raise DomainError("valuation outside (0, 1]")
     out = np.clip(np.minimum(dist._ccdf(xs), pi / xs), 0.0, 1.0)
     return float(out) if np.ndim(x) == 0 else out

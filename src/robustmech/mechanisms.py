@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, any_outside
 from .isorevenue import IsoRevenueCut
 
 __all__ = ["RandomizedLogMechanism", "PostedPrice", "PriceStatistics", "Mechanism"]
@@ -29,7 +29,7 @@ class PriceStatistics:
 
 def _check_valuation(v):
     vs = np.asarray(v, dtype=float)
-    if np.any(vs < -1e-12) or np.any(vs > 1.0 + 1e-12):
+    if any_outside(vs, -1e-12, 1.0 + 1e-12):
         raise DomainError("valuation outside [0, 1]")
     return np.clip(vs, 0.0, 1.0), vs.ndim == 0
 
@@ -171,7 +171,7 @@ class RandomizedLogMechanism:
 
 def _as_prob(u):
     us = np.asarray(u, dtype=float)
-    if np.any(us < 0.0) or np.any(us > 1.0):
+    if any_outside(us, 0.0, 1.0):
         raise DomainError("probability outside [0, 1]")
     return us, us.ndim == 0
 

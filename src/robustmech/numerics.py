@@ -67,7 +67,8 @@ def bisect_root(
         raise BracketError(f"no sign change on [{lo}, {hi}]: f={fa}, {fb}")
     a, b = lo, hi
     kappa1 = 0.0
-    eps = 0.5 * max(xtol, math.ulp(max(abs(lo), abs(hi))))
+    # 1e-323 is two least subnormals: half an ulp there would round to 0
+    eps = 0.5 * max(xtol, math.ulp(max(abs(lo), abs(hi))), 1e-323)
     # eps * 2**(n_max - j), with n_max = ceil(log2((hi - lo) / (2 eps))) + n0
     budget = eps * 2.0 ** (math.ceil(math.log2((hi - lo) / (2.0 * eps))) + 1)
     mid = 0.5 * (a + b)

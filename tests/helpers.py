@@ -8,7 +8,9 @@ check pits two genuinely different computations against each other.
 
 import math
 
+import mpmath
 import numpy as np
+from scipy.special import betaincinv
 
 from robustmech import DomainError, Empirical
 
@@ -167,3 +169,30 @@ def loop_empirical_atoms(atoms) -> tuple:
 def skewness_se(n: int) -> float:
     """Approximate standard error of a sample skewness estimate."""
     return np.sqrt(6.0 / n)
+
+
+def mp_beta_quantile(a: float, b: float, u: float) -> mpmath.mpf:
+    """The Beta(a, b) quantile of the float u in 50-digit arithmetic.
+
+    Solves I(a, b, x) = u for u <= 1/2 and I(b, a, y) = 1 - u in y = 1 - x
+    otherwise (1 - u is exact there), by Newton steps on log I against
+    log x, which are exact on the power-law tails.  Starts from scipy's
+    ``betaincinv`` (or from the tail's power law when that returns 0) and
+    stops once a step is below 1e-25 relative, which leaves an error near
+    the square of that.
+    """
+    if u in (0.0, 1.0):
+        return mpmath.mpf(u)
+    p, q, w = (a, b, u) if u <= 0.5 else (b, a, 1.0 - u)
+    with mpmath.workdps(50):
+        p, q, w = mpmath.mpf(p), mpmath.mpf(q), mpmath.mpf(w)
+        beta = mpmath.beta(p, q)
+        start = float(betaincinv(float(p), float(q), float(w)))
+        z = mpmath.mpf(start) if 0.0 < start < 1.0 else (w * p * beta) ** (1 / p)
+        for _ in range(100):
+            big_i = mpmath.betainc(p, q, 0, z, regularized=True)
+            step = (mpmath.log(big_i) - mpmath.log(w)) * big_i * beta / (z**p * (1 - z) ** (q - 1))
+            z *= mpmath.exp(-step)
+            if abs(step) < mpmath.mpf("1e-25"):
+                return z if u <= 0.5 else 1 - z
+    raise RuntimeError(f"no 50-digit quantile of Beta({a}, {b}) at u = {u!r}")

@@ -15,6 +15,7 @@ smaller root of its quadratic, evaluated in 60-digit decimal arithmetic.
 import math
 from decimal import Decimal, localcontext
 
+import numpy as np
 import pytest
 from scipy.optimize import brentq
 
@@ -23,6 +24,7 @@ from robustmech import (
     DomainError,
     Empirical,
     Mixture,
+    PostedPrice,
     Power,
     TruncatedExponential,
     Uniform,
@@ -31,6 +33,7 @@ from robustmech import (
     solve_pp,
     solve_pp_two_point,
     solve_ro,
+    worst_case_ccdf,
 )
 
 PI0 = 0.25
@@ -135,3 +138,52 @@ def test_ro_level_relative_accuracy(r):
 def test_non_finite_input_raises_domain_error(make):
     with pytest.raises(DomainError):
         make()
+
+
+def _menu():
+    return solve(Uniform(), 0.1).mechanism
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: _menu().payment(math.nan), id="menu-payment-nan"),
+        pytest.param(lambda: _menu().allocation(math.nan), id="menu-allocation-nan"),
+        pytest.param(lambda: _menu().payment([0.5, math.nan]), id="menu-payment-array-nan"),
+        pytest.param(lambda: _menu().price_quantile(math.nan), id="menu-price-quantile-nan"),
+        pytest.param(lambda: PostedPrice(0.3).payment(math.nan), id="posted-payment-nan"),
+        pytest.param(lambda: PostedPrice(0.3).price_quantile(math.nan), id="posted-quantile-nan"),
+        pytest.param(lambda: Beta(2.0, 5.0).ccdf(math.nan), id="ccdf-nan"),
+        pytest.param(lambda: Beta(2.0, 5.0).ccdf_left(math.nan), id="ccdf-left-nan"),
+        pytest.param(lambda: Beta(2.0, 5.0).cdf(math.nan), id="cdf-nan"),
+        pytest.param(lambda: Beta(2.0, 5.0).cdf(2.0), id="cdf-above-one"),
+        pytest.param(lambda: Beta(2.0, 5.0).cdf([0.5, -0.1]), id="cdf-below-zero"),
+        pytest.param(lambda: Beta(2.0, 5.0).quantile(math.nan), id="quantile-nan"),
+        pytest.param(lambda: Beta(2.0, 5.0).ccdf_integral(-1.0, 2.0), id="integral-outside"),
+        pytest.param(lambda: Beta(2.0, 5.0).ccdf_integral(0.1, math.nan), id="integral-nan"),
+        pytest.param(lambda: Beta(2.0, 5.0).ccdf_integral(math.nan, 0.1), id="integral-nan-first"),
+        pytest.param(lambda: Uniform().ccdf_integral(0.1, math.inf), id="integral-inf"),
+        pytest.param(lambda: Uniform().ccdf_integral(0.5, 1.0 + 1e-9), id="integral-past-slack"),
+        pytest.param(lambda: worst_case_ccdf(Uniform(), 0.1, math.nan), id="worst-case-ccdf-nan"),
+    ],
+)
+def test_nan_or_out_of_range_argument_raises_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+def test_ccdf_integral_clamps_within_slack():
+    dist = Beta(2.0, 5.0)
+    assert dist.ccdf_integral(-1e-13, 1.0 + 1e-13) == dist.ccdf_integral(0.0, 1.0)
+
+
+@pytest.mark.parametrize("n", [-1, 2.5, "10", None])
+@pytest.mark.parametrize(
+    "dist",
+    [Beta(2.0, 5.0), Uniform(), Mixture((Uniform(), Beta(2.0, 5.0)), (0.5, 0.5))],
+    ids=["beta", "uniform", "mixture"],
+)
+def test_sample_size_must_be_a_nonnegative_integer(dist, n):
+    with pytest.raises(DomainError, match="sample size"):
+        dist.sample(n, np.random.default_rng(0))
+    assert dist.sample(0, np.random.default_rng(0)).shape == (0,)

@@ -32,6 +32,12 @@ def test_refine_crossing_full_precision():
     assert root == pytest.approx(math.sqrt(2.0), abs=1e-14)
 
 
+def test_refine_crossing_in_a_subnormal_bracket():
+    # half an ulp of the bracket's ends rounds to 0 below 2**-1021
+    root = refine_crossing(lambda x: x - 1e-310, 0.0, 3e-308)
+    assert math.nextafter(root, 0.0) <= 1e-310 <= math.nextafter(root, 1.0)
+
+
 def test_golden_section_max_quadratic():
     x, val = golden_section_max(lambda x: -((x - 0.37) ** 2), 0.0, 1.0)
     assert x == pytest.approx(0.37, abs=1e-9)

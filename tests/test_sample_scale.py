@@ -4,14 +4,16 @@ checked against the atom-by-atom oracles in ``helpers``.
 Empirical CCDF integrals, fragility-adjusted posted revenues and cut
 intervals are compared with sums and loops over the atoms; the Wasserstein
 distance from a sample to a Beta law with a dense trapezoid grid; Beta draws
-with the bisection quantile every distribution inherits; mixture draws with
-the mixture mean.
+with the bisection quantile every distribution inherits, with 50-digit
+mpmath quantiles and with scipy's ``betaincinv``; mixture draws with the
+mixture mean.
 """
 
 import math
 
 import numpy as np
 import pytest
+from scipy.special import betaincinv
 
 from helpers import (
     atom_best_posted,
@@ -19,6 +21,7 @@ from helpers import (
     loop_empirical_atoms,
     loop_empirical_regions,
     midpoint_ccdf_integral,
+    mp_beta_quantile,
     random_empirical,
     trapezoid_ccdf_distance,
 )
@@ -35,6 +38,8 @@ from robustmech import (
     rho_pp,
     wasserstein_distance,
 )
+from robustmech import distributions
+from robustmech.evaluation import SweepConfig
 
 TANGENCY_WIDTH = 1e-9
 
@@ -141,6 +146,78 @@ def test_beta_draws_match_bisection_quantile(shape):
     closed = dist.sample(len(us), np.random.default_rng(17))
     bisected = ValuationDistribution._quantile(dist, us)
     assert np.max(np.abs(closed - bisected)) <= 3e-12
+
+
+SWEEP = SweepConfig()
+QUANTILE_SHAPES = [(a, b) for a in SWEEP.alphas for b in SWEEP.betas] + [(50.0, 50.0), (0.5, 10.0)]
+EDGE_US = [1e-300, 1e-30, 1e-12, 1e-6, 0.5, 1.0 - 1e-6, 1.0 - 1e-12, 1.0 - 2.0**-53]
+MC_SHAPES = [(2.0, 5.0), (2.0, 10.0), (10.0, 2.0)]
+
+
+@pytest.mark.parametrize("shape", QUANTILE_SHAPES, ids=lambda s: f"{s[0]:g}_{s[1]:g}")
+def test_beta_quantile_matches_mpmath(shape):
+    # 1e-13 relative to the nearer end of [0, 1], or within the float spacing
+    # at the true quantile where no float comes closer (near 1); below 1e-300
+    # only the size of the result is checked
+    us = np.concatenate((EDGE_US, np.random.default_rng(21).random(200)))
+    got = Beta(*shape).quantile(us)
+    for u, x in zip(us.tolist(), got.tolist()):
+        true = mp_beta_quantile(*shape, u)
+        if true < 1e-300:
+            assert x <= 1e-300, (u, x)
+            continue
+        nearer = float(min(true, 1 - true))
+        assert float(abs(x - true)) <= max(1e-13 * nearer, float(np.spacing(float(true)))), (u, x)
+    assert Beta(*shape).quantile(0.0) == 0.0
+    assert Beta(*shape).quantile(1.0) == 1.0
+
+
+def _assert_near(got, true):
+    # the bound of the mpmath test, with float64 truths
+    nearer = np.minimum(true, 1.0 - true)
+    assert np.all(np.abs(got - true) <= np.maximum(1e-13 * nearer, np.spacing(true)))
+
+
+@pytest.mark.parametrize("shape", [0.01, 0.1, 3.0, 100.0])
+def test_skewed_beta_quantile_matches_closed_forms(shape):
+    # Beta(a, 1) has Q(u) = u**(1/a) and Beta(1, b) has Q(u) = 1 - (1-u)**(1/b):
+    # for small shapes most of the mass sits within 1e-30 of one end, far
+    # from the median, so each draw must be solved from its own end
+    us = np.concatenate((EDGE_US, np.random.default_rng(24).random(2_000)))
+    _assert_near(Beta(shape, 1.0).quantile(us), us ** (1.0 / shape))
+    _assert_near(Beta(1.0, shape).quantile(us), -np.expm1(np.log1p(-us) / shape))
+
+
+@pytest.mark.parametrize("shape", [(2.0, 5.0), (50.0, 50.0), (0.5, 10.0)])
+def test_bracketed_finish_alone_reaches_the_quantile(shape, monkeypatch):
+    # with no Halley step after the first, every draw that step left moving
+    # (18-91% of these low draws) is finished by the bracket alone
+    monkeypatch.setattr(distributions, "_HALLEY_STEPS", 0)
+    us = np.concatenate(([1e-12, 1e-6], np.random.default_rng(25).random(2_000) * 0.1))
+    _assert_near(Beta(*shape).quantile(us), betaincinv(*shape, us))
+
+
+@pytest.mark.parametrize("shape", MC_SHAPES)
+def test_beta_draws_match_betaincinv(shape):
+    draws = Beta(*shape).sample(100_000, np.random.default_rng(22))
+    ref = betaincinv(*shape, np.random.default_rng(22).random(100_000))
+    nearer = np.minimum(ref, 1.0 - ref)
+    assert np.all(np.abs(draws - ref) <= 1e-13 * nearer)
+
+
+@pytest.mark.parametrize("shape", MC_SHAPES)
+def test_beta_draws_take_about_one_betainc_each(shape, monkeypatch):
+    evaluated = []
+    betainc = distributions.betainc
+
+    def counting(a, b, x):
+        evaluated.append(np.size(x))
+        return betainc(a, b, x)
+
+    monkeypatch.setattr(distributions, "betainc", counting)
+    n = 100_000
+    Beta(*shape).sample(n, np.random.default_rng(23))
+    assert sum(evaluated) <= 1.25 * n
 
 
 @pytest.mark.parametrize(
