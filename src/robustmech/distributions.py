@@ -11,6 +11,9 @@ and arrays go through the same expression.
 
 All distribution objects are immutable after construction and every operation
 is a pure function, so instances are safe for concurrent use.
+
+``scipy.special``, slower to import than the rest, is bound on the first
+``Beta`` (unpickled ones too) or read of ``distributions.betainc``.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import betainc, betaincinv, betaln
 
 from .errors import DomainError, any_outside, check_count
 from .numerics import adaptive_simpson, golden_section_max, refine_crossing
@@ -46,6 +48,22 @@ _SCAN_POINTS = 100_001
 #: the scan grid's abscissae, one read-only array shared by every reference
 _SCAN_XS = np.linspace(0.0, 1.0, _SCAN_POINTS + 1)[1:]
 _SCAN_XS.setflags(write=False)
+
+
+def _bind_scipy():
+    """Bind scipy's ``betainc``, ``betaincinv`` and ``betaln`` as globals once:
+    betaln is bound last, so when it is here all three are (the import lock
+    makes two first calls bind the same functions), and a patched name stays."""
+    global betainc, betaincinv, betaln
+    if "betaln" not in globals():
+        from scipy.special import betainc, betaincinv, betaln
+
+
+def __getattr__(name):  # PEP 562: reading distributions.betainc binds the three
+    if name in ("betainc", "betaincinv", "betaln"):
+        _bind_scipy()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _as_array(x):
@@ -265,6 +283,11 @@ class Beta(ValuationDistribution):
     def __post_init__(self):
         if not all(math.isfinite(s) and s > 0.0 for s in (self.alpha, self.beta)):
             raise DomainError("beta shape parameters must be finite and positive")
+        _bind_scipy()
+
+    def __reduce__(self):
+        # rebuild through __init__, so an unpickled Beta binds scipy too
+        return type(self), (self.alpha, self.beta)
 
     @property
     def is_regular(self):

@@ -27,11 +27,21 @@ class PriceStatistics:
     skewness: float
 
 
-def _check_valuation(v):
+#: valuations per block, so that a curve's scratch stays small beside its output
+_BLOCK = 16_384
+
+
+def _blockwise(curve, v):
+    """``curve`` of the valuations ``v`` clipped to [0, 1], evaluated in
+    blocks of ``_BLOCK`` into one output array; a float for a scalar."""
     vs = np.asarray(v, dtype=float)
     if any_outside(vs, -1e-12, 1.0 + 1e-12):
         raise DomainError("valuation outside [0, 1]")
-    return np.clip(vs, 0.0, 1.0), vs.ndim == 0
+    out = np.empty(vs.shape)
+    flat, flat_out = vs.reshape(-1), out.reshape(-1)
+    for start in range(0, flat.size, _BLOCK):
+        flat_out[start : start + _BLOCK] = curve(np.clip(flat[start : start + _BLOCK], 0.0, 1.0))
+    return float(out) if vs.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -83,44 +93,38 @@ class RandomizedLogMechanism:
         return self.slope
 
     def _locate(self, vs: np.ndarray):
+        """Per valuation: the intervals it has passed, whether it lies inside
+        the next one, that interval's start, and whether it tops the menu."""
         us = np.asarray([u for u, _ in self.intervals])
         ws = np.asarray([w for _, w in self.intervals])
-        j_u = np.searchsorted(us, vs, side="right")  # intervals started
-        j_w = np.searchsorted(ws, vs, side="right")  # intervals finished
-        return us, ws, j_u, j_w
+        j_w = np.searchsorted(ws, vs, side="right")
+        inside = np.searchsorted(us, vs, side="right") == j_w + 1
+        return j_w, inside, us[np.minimum(j_w, len(us) - 1)], vs >= ws[-1]
 
     def allocation(self, v):
         """Winning probability q(v): 0 below the menu, 1 at and above its top."""
-        vs, scalar = _check_valuation(v)
-        us, ws, j_u, j_w = self._locate(vs)
-        cum_log = np.asarray(self._cum_log)
-        inside = j_u == j_w + 1
-        base = cum_log[j_w]
+        return _blockwise(self._allocation, v)
+
+    def _allocation(self, vs):
+        j_w, inside, u, top = self._locate(vs)
         with np.errstate(divide="ignore", invalid="ignore"):
-            extra = np.where(
-                inside, np.log(np.maximum(vs, 1e-300) / us[np.minimum(j_w, len(us) - 1)]), 0.0
-            )
-        out = np.minimum(self.slope * (base + extra), 1.0)
-        out = np.where(vs >= ws[-1], 1.0, out)
-        return float(out) if scalar else out
+            extra = np.where(inside, np.log(np.maximum(vs, 1e-300) / u), 0.0)
+        out = np.minimum(self.slope * (np.asarray(self._cum_log)[j_w] + extra), 1.0)
+        return np.where(top, 1.0, out)
 
     def payment(self, v):
         """Payment m(v): slope inside intervals, constant elsewhere, m(0) = 0."""
-        vs, scalar = _check_valuation(v)
-        us, ws, j_u, j_w = self._locate(vs)
+        return _blockwise(self._payment, v)
+
+    def _payment(self, vs):
+        j_w, inside, u, top = self._locate(vs)
         cum_width = np.asarray(self._cum_width)
-        inside = j_u == j_w + 1
-        base = cum_width[j_w]
-        extra = np.where(inside, vs - us[np.minimum(j_w, len(us) - 1)], 0.0)
-        out = self.slope * (base + extra)
-        out = np.where(vs >= ws[-1], self.slope * cum_width[-1], out)
-        return float(out) if scalar else out
+        out = self.slope * (cum_width[j_w] + np.where(inside, vs - u, 0.0))
+        return np.where(top, self.slope * cum_width[-1], out)
 
     def buyer_surplus(self, v):
         """q(v) v - m(v); nonnegative and nondecreasing in v."""
-        vs, scalar = _check_valuation(v)
-        out = self.allocation(vs) * vs - self.payment(vs)
-        return float(out) if scalar else out
+        return _blockwise(lambda vs: self._allocation(vs) * vs - self._payment(vs), v)
 
     def knots(self) -> np.ndarray:
         """Valuations where q or m change regime (useful as quadrature splits)."""
@@ -187,19 +191,13 @@ class PostedPrice:
             raise DomainError(f"price {self.price} outside [0, 1]")
 
     def allocation(self, v):
-        vs, scalar = _check_valuation(v)
-        out = (vs >= self.price).astype(float)
-        return float(out) if scalar else out
+        return _blockwise(lambda vs: vs >= self.price, v)
 
     def payment(self, v):
-        vs, scalar = _check_valuation(v)
-        out = self.price * (vs >= self.price)
-        return float(out) if scalar else out
+        return _blockwise(lambda vs: self.price * (vs >= self.price), v)
 
     def buyer_surplus(self, v):
-        vs, scalar = _check_valuation(v)
-        out = np.maximum(vs - self.price, 0.0) * (vs >= self.price)
-        return float(out) if scalar else out
+        return _blockwise(lambda vs: np.maximum(vs - self.price, 0.0) * (vs >= self.price), v)
 
     def knots(self) -> np.ndarray:
         return np.asarray([0.0, self.price, 1.0])

@@ -130,12 +130,16 @@ def optimal_price_given_k(dist: ValuationDistribution, k: float) -> float:
         raise DomainError(f"fragility must be positive, got {k!r}")
     if isinstance(dist, Empirical):
         # rho_pp is piecewise linear in p with kinks at the atoms and at
-        # k/(k+1) times the atoms, so its maximum sits on one of them
-        values = dist._values
-        cands = np.unique(np.concatenate((k / (k + 1.0) * values, values)))
-        cands = cands[(cands > 0.0) & (cands <= 1.0)]
-        revs = k * dist._integrals(cands, np.minimum((1.0 + 1.0 / k) * cands, 1.0))
-        return float(cands[np.argmax(revs)])
+        # k/(k+1) times the atoms, so its maximum sits on one of them: the
+        # lower of the sorted halves' first maxima (0 if every atom is 0)
+        best = (math.inf, 0.0)  # (-revenue, price)
+        for cands in (k / (k + 1.0) * dist._values, dist._values):
+            cands = cands[cands > 0.0]
+            if cands.size:
+                revs = k * dist._integrals(cands, np.minimum((1.0 + 1.0 / k) * cands, 1.0))
+                i = int(np.argmax(revs))
+                best = min(best, (-float(revs[i]), float(cands[i])))
+        return best[1]
     if dist.is_regular:
         # price ratio w/u = (k+1)/k; the ratio falls to 1 at the tangency
         target = math.log((k + 1.0) / k)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from robustmech import (
     Empirical,
     Mixture,
     PostedPrice,
+    RandomizedLogMechanism,
     SweepConfig,
     Uniform,
     UnsupportedReferenceError,
@@ -16,6 +18,7 @@ from robustmech import (
     beta_sweep,
     build_ro_mechanism,
     crossing_thresholds,
+    cut,
     eta_ro,
     eta_rs,
     expected_revenue,
@@ -29,6 +32,32 @@ from robustmech import (
     wasserstein_distance,
 )
 from robustmech.evaluation import revenue_ratio
+
+
+def _one_pass_payment(mech, vs):
+    """m(v) in one array pass over all the valuations: the blocked curve's reference."""
+    if isinstance(mech, PostedPrice):
+        return mech.price * (vs >= mech.price)
+    us, ws = (np.asarray(e) for e in zip(*mech.intervals))
+    j_u, j_w = np.searchsorted(us, vs, side="right"), np.searchsorted(ws, vs, side="right")
+    cum_width = np.asarray(mech._cum_width)
+    extra = np.where(j_u == j_w + 1, vs - us[np.minimum(j_w, len(us) - 1)], 0.0)
+    out = mech.slope * (cum_width[j_w] + extra)
+    return np.where(vs >= ws[-1], mech.slope * cum_width[-1], out)
+
+
+def _one_pass_allocation(mech, vs):
+    """q(v) in one array pass over all the valuations: the blocked curve's reference."""
+    if isinstance(mech, PostedPrice):
+        return (vs >= mech.price).astype(float)
+    us, ws = (np.asarray(e) for e in zip(*mech.intervals))
+    j_u, j_w = np.searchsorted(us, vs, side="right"), np.searchsorted(ws, vs, side="right")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        extra = np.where(
+            j_u == j_w + 1, np.log(np.maximum(vs, 1e-300) / us[np.minimum(j_w, len(us) - 1)]), 0.0
+        )
+    out = np.minimum(mech.slope * (np.asarray(mech._cum_log)[j_w] + extra), 1.0)
+    return np.where(vs >= ws[-1], 1.0, out)
 
 
 class TruncatedPareto(ValuationDistribution):
@@ -97,6 +126,34 @@ class TestExpectedRevenue:
         b = expected_revenue(mech, beta25, "monte_carlo", mc_n=50_000, seed=3)
         assert a.expected_revenue == b.expected_revenue
         assert a.standard_error == b.standard_error
+
+    def test_monte_carlo_prices_a_million_draws_in_small_blocks(self, uniform, beta25):
+        # 8 MB of draws and 8 MB of payments; one array pass over the draws
+        # held about 58 MB of payment scratch on top, a peak of 66 MB
+        mech = solve(uniform, 0.2).mechanism
+        n = 1_000_000
+        expected_revenue(mech, beta25, "monte_carlo", mc_n=1_000)  # fill the caches
+        tracemalloc.start()
+        try:
+            rep = expected_revenue(mech, beta25, "monte_carlo", mc_n=n, seed=42)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 33e6
+        pays = _one_pass_payment(mech, beta25.sample(n, np.random.default_rng(42)))
+        assert rep.expected_revenue == float(np.mean(pays))
+        assert rep.standard_error == float(np.std(pays) / math.sqrt(n))
+
+    def test_blocked_curves_match_one_array_pass(self, two_point):
+        vs = np.random.default_rng(9).random(50_000)
+        vs[:4] = (0.0, 1.0, 0.3, 0.7)
+        for mech in (RandomizedLogMechanism.from_cut(cut(two_point, 0.2)), PostedPrice(0.4)):
+            pays = _one_pass_payment(mech, vs)
+            assert np.array_equal(mech.payment(vs), pays)
+            alloc = _one_pass_allocation(mech, vs)
+            assert np.array_equal(mech.buyer_surplus(vs), alloc * vs - pays)
+            # a 2-d input keeps its shape
+            assert np.array_equal(mech.allocation(vs.reshape(100, 500)), alloc.reshape(100, 500))
 
     def test_unknown_method(self, uniform):
         with pytest.raises(DomainError):

@@ -76,6 +76,39 @@ def test_rho_pp_and_best_price_match_atom_sums():
             assert atom_rho_pp(ref, price, k) == pytest.approx(best, abs=1e-12)
 
 
+def _unique_candidate_price(ref: Empirical, k: float) -> float:
+    """The best price as the scan once found it: one sorted, deduplicated
+    array of both candidate halves, whose first maximum is the lowest."""
+    values = ref._values
+    cands = np.unique(np.concatenate((k / (k + 1.0) * values, values)))
+    cands = cands[(cands > 0.0) & (cands <= 1.0)]
+    revs = k * ref._integrals(cands, np.minimum((1.0 + 1.0 / k) * cands, 1.0))
+    return float(cands[np.argmax(revs)])
+
+
+def test_best_price_matches_the_unique_candidate_scan():
+    # ties on a coarse grid, zero atoms and atoms at 1 alongside random atoms
+    rng = np.random.default_rng(31)
+    refs = []
+    for t in range(600):
+        n = int(rng.integers(1, 30))
+        values = [rng.random(n), rng.integers(0, 6, n) / 5.0, np.round(rng.random(n), 2)][t % 3]
+        if t % 2:
+            values = np.concatenate((values, [0.0, 1.0]))
+        if values.any():
+            refs.append(Empirical.from_samples(values))
+    for ref in refs:
+        for k in (1e-3, 0.3, 1.0, 2.5, 37.0, 1e6):
+            assert optimal_price_given_k(ref, k) == _unique_candidate_price(ref, k)
+
+
+def test_best_price_on_an_all_zero_reference_is_zero():
+    ref = Empirical.from_samples([0.0])
+    for k in (1e-3, 1.0, 50.0):
+        assert optimal_price_given_k(ref, k) == 0.0
+        assert rho_pp(ref, optimal_price_given_k(ref, k), k) == 0.0
+
+
 def _expected_cut(ref: Empirical, pi: float):
     raw, ties = loop_empirical_regions(ref, pi)
     return [(u, w) for u, w in raw if w - u >= TANGENCY_WIDTH], ties
@@ -217,7 +250,8 @@ def test_beta_draws_take_about_one_betainc_each(shape, monkeypatch):
     monkeypatch.setattr(distributions, "betainc", counting)
     n = 100_000
     Beta(*shape).sample(n, np.random.default_rng(23))
-    assert sum(evaluated) <= 1.25 * n
+    # every draw takes its first Halley step through the patched betainc
+    assert n <= sum(evaluated) <= 1.25 * n
 
 
 @pytest.mark.parametrize(
