@@ -7,7 +7,8 @@ distributions share the same representation.
 
 The primitives are ``_ccdf(xs)`` and ``_integrals(a, b)``, the CCDF integral
 over [a, b] elementwise: each family writes its closed form once, and scalars
-and arrays go through the same expression.
+and arrays go through the same expression.  ``_pdf(x)``, the density at a
+scalar, gives the revenue curve's slope ccdf - x pdf.
 
 All distribution objects are immutable after construction and every operation
 is a pure function, so instances are safe for concurrent use.
@@ -21,12 +22,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .errors import DomainError, any_outside, check_count
-from .numerics import adaptive_simpson, golden_section_max, refine_crossing
+from .numerics import adaptive_simpson, refine_crossing
 
 __all__ = [
     "ValuationDistribution",
@@ -85,6 +86,11 @@ class ValuationDistribution:
 
     def _ccdf(self, xs: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def _pdf(self, x: float) -> float:
+        """Density at x in (0, 1); here a central difference (step 2**-17) of the CCDF."""
+        lo, hi = max(x - 2.0**-17, 0.0), min(x + 2.0**-17, 1.0)
+        return float(self._ccdf(np.asarray(lo)) - self._ccdf(np.asarray(hi))) / (hi - lo)
 
     def ccdf(self, x):
         """P(v > x) for x in [0, 1]; right-continuous and nonincreasing."""
@@ -186,6 +192,9 @@ class Uniform(ValuationDistribution):
     def _ccdf(self, xs):
         return 1.0 - xs
 
+    def _pdf(self, x):
+        return 1.0
+
     def mean(self):
         return 0.5
 
@@ -213,6 +222,9 @@ class Power(ValuationDistribution):
 
     def _ccdf(self, xs):
         return 1.0 - xs**self.alpha
+
+    def _pdf(self, x):
+        return self.alpha * x ** (self.alpha - 1.0)
 
     def mean(self):
         return self.alpha / (self.alpha + 1.0)
@@ -247,6 +259,9 @@ class TruncatedExponential(ValuationDistribution):
     def _ccdf(self, xs):
         return (np.exp(-self.rate * xs) - math.exp(-self.rate)) / self._z
 
+    def _pdf(self, x):
+        return self.rate * math.exp(-self.rate * x) / self._z
+
     def mean(self):
         lam = self.rate
         return 1.0 / lam - math.exp(-lam) / self._z
@@ -268,6 +283,10 @@ class TruncatedExponential(ValuationDistribution):
 class Beta(ValuationDistribution):
     """Beta(alpha, beta) distribution; CCDF via the regularized incomplete beta.
 
+    The CCDF is 1 - I(alpha, beta, x) below x = 1/2 and I(beta, alpha, 1 - x),
+    with 1 - x exact, above it.  The density uses ``math``, with log B(alpha,
+    beta) from ``math.lgamma`` once per shape.
+
     The quantile takes about one ``betainc`` per draw: it starts from a cached
     table of ``betaincinv`` knots (linear in each cell, the power-law tail in
     the first), takes one Halley step on log I(alpha, beta, x) = log u
@@ -284,6 +303,8 @@ class Beta(ValuationDistribution):
         if not all(math.isfinite(s) and s > 0.0 for s in (self.alpha, self.beta)):
             raise DomainError("beta shape parameters must be finite and positive")
         _bind_scipy()
+        a, b = self.alpha, self.beta
+        object.__setattr__(self, "_log_b", math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
 
     def __reduce__(self):
         # rebuild through __init__, so an unpickled Beta binds scipy too
@@ -295,7 +316,18 @@ class Beta(ValuationDistribution):
         return self.alpha >= 1.0 and self.beta >= 1.0
 
     def _ccdf(self, xs):
-        return 1.0 - betainc(self.alpha, self.beta, xs)
+        a, b = self.alpha, self.beta
+        if xs.ndim:
+            up = xs >= 0.5
+            i = betainc(np.where(up, b, a), np.where(up, a, b), np.where(up, 1.0 - xs, xs))
+            return np.where(up, i, 1.0 - i)
+        # a float64 argument costs betainc less than a float or a 0-d array
+        x = float(xs)
+        return betainc(b, a, np.float64(1.0 - x)) if x >= 0.5 else 1.0 - betainc(a, b, xs)
+
+    def _pdf(self, x):
+        a, b = self.alpha, self.beta
+        return math.exp((a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x) - self._log_b)
 
     def mean(self):
         return self.alpha / (self.alpha + self.beta)
@@ -475,6 +507,9 @@ class Mixture(ValuationDistribution):
         for w, c in zip(self.weights[1:], self.components[1:]):
             out += w * c._ccdf(xs)
         return out
+
+    def _pdf(self, x):
+        return sum(w * c._pdf(x) for w, c in zip(self.weights, self.components))
 
     def mean(self):
         return sum(w * c.mean() for w, c in zip(self.weights, self.components))
@@ -661,6 +696,11 @@ def revenue(dist: ValuationDistribution, p: float) -> float:
     return p * dist.ccdf_left(p)
 
 
+def _revenue_slope(dist: ValuationDistribution, x: float) -> float:
+    """Slope ccdf(x) - x pdf(x) of the revenue curve x ccdf(x), at x in (0, 1)."""
+    return float(dist._ccdf(np.asarray(x))) - x * dist._pdf(x)
+
+
 @lru_cache(maxsize=64)
 def _scan_grid(dist: ValuationDistribution):
     """Cached grid of the revenue curve g(x) = x * ccdf(x) on (0, 1]."""
@@ -671,9 +711,9 @@ def _scan_grid(dist: ValuationDistribution):
 def max_posted_revenue(dist: ValuationDistribution) -> tuple[float, float]:
     """Global maximum of the posted-price revenue; returns (revenue, argmax price).
 
-    Exact atom arithmetic for empirical distributions; a dense scan with local
-    golden-section refinement otherwise (the scan acts as a multi-start guard
-    for non-quasi-concave revenue curves).
+    Exact atom arithmetic for empirical distributions; otherwise the root of
+    the revenue slope ccdf(p) - p pdf(p) next to the best point of a dense
+    scan (a multi-start guard for curves that are not quasi-concave).
     """
     if isinstance(dist, Empirical):
         values = dist._values
@@ -683,8 +723,12 @@ def max_posted_revenue(dist: ValuationDistribution) -> tuple[float, float]:
     xs, g = _scan_grid(dist)
     i = int(np.argmax(g))
     lo = float(xs[max(i - 1, 0)])
-    hi = float(xs[min(i + 1, len(xs) - 1)])
-    p, val = golden_section_max(lambda x: x * float(dist._ccdf(np.asarray(x))), lo, hi)
+    # short of 1, where a density can diverge
+    hi = min(float(xs[min(i + 1, len(xs) - 1)]), math.nextafter(1.0, 0.0))
+    slope = partial(_revenue_slope, dist)
+    flo, fhi = slope(lo), slope(hi)
+    p = refine_crossing(slope, lo, hi, flo=flo, fhi=fhi) if flo > 0.0 > fhi else float(xs[i])
+    val = p * float(dist._ccdf(np.asarray(p)))
     if val < float(g[i]):
         p, val = float(xs[i]), float(g[i])
     return float(val), float(p)

@@ -19,6 +19,7 @@ from .distributions import (
     Empirical,
     Uniform,
     ValuationDistribution,
+    _revenue_slope,
     max_posted_revenue,
     wasserstein_distance,
 )
@@ -301,8 +302,8 @@ def theta_condition(dist: ValuationDistribution, c: float) -> ThetaDiagnostic:
     """Evaluate the sensitivity condition R'(u) <= theta * |R'(w)| at level c.
 
     Requires a reference whose iso-revenue cut at c is a single interval with
-    distinct prices u < w; tangency is rejected as degenerate.  Derivatives
-    use central finite differences with step 1e-6.
+    distinct prices u < w; tangency is rejected as degenerate.  R' is the
+    revenue curve's slope ccdf - x pdf.
     """
     pi0, _ = max_posted_revenue(dist)
     if not 0.0 < c < pi0:
@@ -317,20 +318,10 @@ def theta_condition(dist: ValuationDistribution, c: float) -> ThetaDiagnostic:
     if w - u < 1e-9:
         raise DomainError("degenerate cut: the two iso-revenue prices coincide")
 
-    def rev(x: float) -> float:
-        return x * float(dist.ccdf(x))
-
-    def slope(x: float) -> float:
-        h = min(1e-6, x / 2.0, (1.0 - x) / 2.0)
-        if h <= 0.0:
-            h = 1e-6
-            return (rev(x) - rev(x - h)) / h
-        return (rev(x + h) - rev(x - h)) / (2.0 * h)
-
     kappa = w / u
     theta = theta_sensitivity(kappa)
-    lhs = slope(u)
-    rhs = theta * (-slope(w))
+    lhs = _revenue_slope(dist, u)
+    rhs = theta * (-_revenue_slope(dist, w))
     return ThetaDiagnostic(c, u, w, kappa, theta, lhs, rhs, lhs <= rhs + 1e-9)
 
 

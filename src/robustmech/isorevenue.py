@@ -25,7 +25,7 @@ from .distributions import (
     max_posted_revenue,
 )
 from .errors import DomainError, InfeasibleLevelError, any_outside
-from .numerics import refine_crossing
+from .numerics import bisect_root
 
 __all__ = ["IsoRevenueCut", "cut", "gap_only", "worst_case_ccdf"]
 
@@ -47,6 +47,11 @@ class IsoRevenueCut:
     intervals (reported as +inf when the cut starts at 0, which happens only
     at pi = 0).  ``tie_points`` records empirical atoms hit exactly by a
     crossing; such intervals are kept separate rather than merged.
+
+    ``dlog_sum`` = d log_sum / d pi sums 1/(w g'(w)) - 1/(u g'(u)) over the
+    interior ends, g' = ccdf - x pdf, or -1/pi per empirical interval that
+    starts partway along a step; the level searches step with it and with
+    d gap / d pi = -log_sum (the envelope theorem).
     """
 
     pi: float
@@ -54,6 +59,7 @@ class IsoRevenueCut:
     gap: float
     log_sum: float
     tie_points: tuple[float, ...] = field(default=())
+    dlog_sum: float = field(default=0.0)
 
     @property
     def count(self) -> int:
@@ -100,7 +106,8 @@ def _empirical_regions(dist: Empirical, pi: float):
     starts = np.flatnonzero(~join)
     ends = np.flatnonzero(~np.append(join, False)[1:])
     intervals = list(zip(lo[starts].tolist(), b[ends].tolist()))
-    return intervals, a[touch & ~join].tolist()
+    slopes = np.where(crossing[starts] > a[starts], -1.0 / pi, 0.0).tolist()
+    return intervals, slopes, a[touch & ~join].tolist()
 
 
 @lru_cache(maxsize=64)
@@ -155,34 +162,50 @@ def _crossing_cells(dist: ValuationDistribution, pi: float) -> list[tuple[int, b
 
 
 def _continuous_regions(dist: ValuationDistribution, pi: float):
-    """Crossings of g(x) = x * ccdf(x) and pi, refined to float resolution
-    from the grid cells that hold them, with the grid values at a cell's ends
-    as the refinement's end values."""
+    """Crossings of g(x) = x * ccdf(x) and pi, refined to float resolution by
+    Newton steps on g - pi, with g' = ccdf - x pdf, from the grid cells that
+    hold them (the grid values at a cell's ends are the end values); and per
+    interval, d ln(w/u) / d pi from 1 / (x g'(x)) at its ends."""
     xs, g = _scan_grid(dist)
+    ccdf = 1.0
 
     def f(x: float) -> float:
-        return x * float(dist._ccdf(np.asarray(x))) - pi
+        nonlocal ccdf
+        ccdf = float(dist._ccdf(np.asarray(x)))
+        return x * ccdf - pi
 
-    starts: list[float] = []
-    ends: list[float] = []
+    def df(x: float) -> float:
+        # called right after f(x), whose ccdf it reuses
+        return ccdf - x * dist._pdf(x)
+
+    # each end as (x, d ln x / d pi = 1 / (x g'(x))); a g' that rounding put
+    # on the wrong side of 0 (at a tangency) reads as vertical
+    ends: dict[bool, list[tuple[float, float]]] = {True: [], False: []}
+
+    def add(rises: bool, x: float, slope: float) -> None:
+        xg = x * slope if (slope > 0.0) == rises else 0.0
+        ends[rises].append((x, 1.0 / xg if xg else (math.inf if rises else -math.inf)))
+
+    def refine(rises: bool, lo: float, hi: float, flo: float, fhi: float, dflo=None) -> None:
+        res = bisect_root(f, lo, hi, xtol=0.0, max_iter=1200, flo=flo, fhi=fhi, df=df, dflo=dflo)
+        add(rises, res.root, res.slope)
+
     if g[0] >= pi:
-        # g(xs[0]) >= pi; x ccdf(x) <= x and ccdf(x) >= ccdf(xs[0]) below xs[0], so the
-        # crossing is in [pi, min(xs[0], pi / ccdf(xs[0]))] (a float up for rounding),
-        # or is pi if that is empty or f(pi) >= 0 (ccdf rounding above 1 at pi)
-        x0 = float(xs[0])
-        hi = min(x0, math.nextafter(pi / float(dist._ccdf(np.asarray(x0))), 1.0))
-        fl = f(pi) if pi < hi else 0.0
-        starts.append(pi if fl >= 0.0 else refine_crossing(f, pi, hi, flo=fl))
+        # g(xs[0]) >= pi and x ccdf(x) <= x, so the first crossing is in
+        # [pi, xs[0]], or is pi if f(pi) >= 0 (ccdf rounding above 1 at pi);
+        # g' is close to 1 there, so the Newton step from pi lands on it
+        fl, dl = f(pi), df(pi)
+        if fl >= 0.0:
+            add(True, pi, dl)
+        else:
+            refine(True, pi, float(xs[0]), fl, float(g[0]) - pi, dl)
     for j, rises in _crossing_cells(dist, pi):
         # the grid is f's expression on an array, so g[j] - pi is f(xs[j])
-        x = refine_crossing(
-            f, float(xs[j]), float(xs[j + 1]), flo=float(g[j]) - pi, fhi=float(g[j + 1]) - pi
-        )
-        (starts if rises else ends).append(x)
+        refine(rises, float(xs[j]), float(xs[j + 1]), float(g[j]) - pi, float(g[j + 1]) - pi)
     if g[-1] >= pi:
-        ends.append(1.0)
-    intervals = [(u, w) for u, w in zip(starts, ends)]
-    return intervals, []
+        ends[False].append((1.0, 0.0))
+    pairs = list(zip(ends[True], ends[False]))
+    return [(u, w) for (u, _), (w, _) in pairs], [rw - ru for (_, ru), (_, rw) in pairs], []
 
 
 def cut(dist: ValuationDistribution, pi: float) -> IsoRevenueCut:
@@ -193,18 +216,20 @@ def cut(dist: ValuationDistribution, pi: float) -> IsoRevenueCut:
     """
     _validate_level(dist, pi)
     if pi == 0.0:
-        return IsoRevenueCut(0.0, ((0.0, 1.0),), dist.mean(), math.inf)
+        return IsoRevenueCut(0.0, ((0.0, 1.0),), dist.mean(), math.inf, (), -math.inf)
     if isinstance(dist, Empirical):
-        raw, ties = _empirical_regions(dist, pi)
+        raw, slopes, ties = _empirical_regions(dist, pi)
     else:
-        raw, ties = _continuous_regions(dist, pi)
-    intervals = tuple((u, w) for u, w in raw if w - u >= _TANGENCY_WIDTH)
+        raw, slopes, ties = _continuous_regions(dist, pi)
+    keep = [j for j, (u, w) in enumerate(raw) if w - u >= _TANGENCY_WIDTH]
+    intervals = tuple(raw[j] for j in keep)
     gap = 0.0
     log_sum = 0.0
     for u, w in intervals:
         gap += dist.ccdf_integral(u, w) - pi * math.log(w / u)
         log_sum += math.log(w / u)
-    return IsoRevenueCut(pi, intervals, max(gap, 0.0), log_sum, tuple(ties))
+    dlog_sum = math.fsum(slopes[j] for j in keep)
+    return IsoRevenueCut(pi, intervals, max(gap, 0.0), log_sum, tuple(ties), dlog_sum)
 
 
 def gap_only(dist: ValuationDistribution, pi: float) -> float:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -44,7 +45,7 @@ def _blockwise(curve, v):
     return float(out) if vs.ndim == 0 else out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RandomizedLogMechanism:
     """Log-allocation mechanism on a union of intervals [(u_j, w_j)].
 
@@ -61,27 +62,29 @@ class RandomizedLogMechanism:
     intervals: tuple[tuple[float, float], ...]
     cut_level: float
     slope: float = field(default=0.0)
-    _cum_log: tuple[float, ...] = field(default=(), repr=False)
-    _cum_width: tuple[float, ...] = field(default=(), repr=False)
 
     def __post_init__(self):
         if not self.intervals:
             raise DomainError("mechanism needs at least one interval")
-        ivs = tuple((float(u), float(w)) for u, w in self.intervals)
+        ivs = self.intervals
+        # a cut's tuple of float pairs is kept, so a report and its menu share it
+        if type(ivs) is not tuple or any(list(map(type, iv)) != [float, float] for iv in ivs):
+            ivs = tuple((float(u), float(w)) for u, w in ivs)
         for u, w in ivs:
             if not 0.0 < u < w <= 1.0:
                 raise DomainError(f"bad interval ({u}, {w})")
-        logs = [math.log(w / u) for u, w in ivs]
-        slope = 1.0 / math.fsum(logs)
-        cum_log = [0.0]
-        cum_width = [0.0]
-        for (u, w), lg in zip(ivs, logs):
-            cum_log.append(cum_log[-1] + lg)
-            cum_width.append(cum_width[-1] + (w - u))
         object.__setattr__(self, "intervals", ivs)
-        object.__setattr__(self, "slope", slope)
-        object.__setattr__(self, "_cum_log", tuple(cum_log))
-        object.__setattr__(self, "_cum_width", tuple(cum_width))
+        object.__setattr__(self, "slope", 1.0 / math.fsum(math.log(w / u) for u, w in ivs))
+
+    @property
+    def _cum_log(self) -> tuple[float, ...]:
+        """Running sums of ln(w/u) over the intervals, from 0."""
+        return tuple(accumulate((math.log(w / u) for u, w in self.intervals), initial=0.0))
+
+    @property
+    def _cum_width(self) -> tuple[float, ...]:
+        """Running sums of w - u over the intervals, from 0."""
+        return tuple(accumulate((w - u for u, w in self.intervals), initial=0.0))
 
     @classmethod
     def from_cut(cls, cut: IsoRevenueCut) -> "RandomizedLogMechanism":
@@ -180,7 +183,7 @@ def _as_prob(u):
     return us, us.ndim == 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PostedPrice:
     """Take-it-or-leave-it price: q(v) = 1(v >= p), m(v) = p 1(v >= p)."""
 

@@ -1,12 +1,11 @@
-"""Scalar root finding, maximization and quadrature used by the solvers.
+"""Scalar root finding and quadrature used by the solvers.
 
-All solver equations in this package are monotone scalar equations whose
-derivatives are kinked at interval-count transitions, so roots are kept in
-a bracket, never found by derivative steps: ``bisect_root`` takes ITP steps
-with a bisection fallback and stops at an exact zero, at xtol, or when the
-bracket collapses to adjacent floats (``rs_solver.level_search`` and
-``refine_crossing`` pass xtol = 0).  The tolerances below are plain defaults
-of the function arguments; nothing here reads module state at call time.
+Every solver equation here is monotone, and its root is kept in a bracket
+down to adjacent floats.  ``bisect_root`` takes ITP steps; given f', it
+takes Newton steps while f looks linear around them (cuts gain and lose
+intervals, so the derivatives have kinks) and ITP steps otherwise.  The
+tolerances below are plain defaults of the function arguments; nothing here
+reads module state at call time.
 """
 
 from __future__ import annotations
@@ -28,6 +27,8 @@ class RootResult:
     iterations: int
     residual: float
     converged: bool
+    #: f' at the last point evaluated (at an exact root at lo, the first slope)
+    slope: float = math.nan
 
 
 def bisect_root(
@@ -39,8 +40,11 @@ def bisect_root(
     max_iter: int = 200,
     flo: float | None = None,
     fhi: float | None = None,
+    df: Callable[[float], float] | None = None,
+    dflo: float | None = None,
 ) -> RootResult:
-    """Find a root of ``f`` in [lo, hi] by ITP steps.
+    """Find a root of ``f`` in [lo, hi] by ITP steps, or by safeguarded Newton
+    steps when ``df`` = f' is given.
 
     ITP (Oliveira and Takahashi, ACM TOMS 2020) moves the regula falsi point
     toward the midpoint by kappa1 (b - a)**2, kappa1 = 0.2 / (b - a) on the
@@ -50,6 +54,17 @@ def bisect_root(
     midpoint at an infinite end value, outside (a, b) and once the budget is
     spent.  It stops at an exact zero, at ``xtol`` or at adjacent floats.
 
+    With ``df``, each point is the Newton step from the last one (an end of
+    the bracket; the first from ``lo``, with slope ``dflo`` or else the
+    chord's: the regula falsi point) when that step stays inside the bracket
+    and, with both end values finite, the chord to the other end has 2/3 to
+    3/2 of its slope (this also stops the crawl down power-law tails), or,
+    with an end value infinite, |f| has at least halved since the point
+    before (else twice the step, to land past the root).  Otherwise it takes
+    a restarted ITP step.  A step under half an ulp lands on the next float,
+    so the search ends on a sign change across adjacent floats.  ``df(x)``
+    is called only right after ``f(x)``, so the two may share work.
+
     ``flo``/``fhi`` may be supplied to avoid evaluating at an endpoint (for
     instance when the function diverges there; ``math.inf`` is accepted).
     When finite they must be the true end values: ITP interpolates on them,
@@ -58,9 +73,12 @@ def bisect_root(
     if not lo < hi:
         raise BracketError(f"invalid bracket [{lo}, {hi}]")
     fa = f(lo) if flo is None else flo
+    dfa = math.nan if df is None else df(lo) if flo is None else dflo
     fb = f(hi) if fhi is None else fhi
+    if dfa is None:
+        dfa = (fb - fa) / (hi - lo)
     if fa == 0.0:
-        return RootResult(lo, 0, 0.0, True)
+        return RootResult(lo, 0, 0.0, True, dfa)
     if fb == 0.0:
         return RootResult(hi, 0, 0.0, True)
     if math.copysign(1.0, fa) == math.copysign(1.0, fb):
@@ -69,35 +87,56 @@ def bisect_root(
     kappa1 = 0.0
     # 1e-323 is two least subnormals: half an ulp there would round to 0
     eps = 0.5 * max(xtol, math.ulp(max(abs(lo), abs(hi))), 1e-323)
-    # eps * 2**(n_max - j), with n_max = ceil(log2((hi - lo) / (2 eps))) + n0
+    # eps * 2**(n_max - j), with n_max = ceil(log2((b - a) / (2 eps))) + n0
     budget = eps * 2.0 ** (math.ceil(math.log2((hi - lo) / (2.0 * eps))) + 1)
     mid = 0.5 * (a + b)
-    fm = math.inf
+    x, fx, dfx, fprev, newton = lo, fa, dfa, math.inf, False
     for it in range(1, max_iter + 1):
         mid = 0.5 * (a + b)
         if mid <= a or mid >= b:
             # bracket has collapsed to adjacent floats
-            return RootResult(mid, it, fm if math.isfinite(fm) else 0.0, True)
-        x = mid
+            return RootResult(mid, it, fx if it > 1 and math.isfinite(fx) else 0.0, True, dfx)
+        finite = math.isfinite(fa) and math.isfinite(fb)
+        xn = x - fx / dfx if math.isfinite(dfx) and dfx != 0.0 else math.nan
+        if xn == x:
+            # a step under half an ulp: the float next to x, toward the root
+            xn = math.nextafter(x, b if x == a else a)
+        if not a < xn < b:
+            xn = math.nan
+        elif finite:
+            far, ffar = (b, fb) if x == a else (a, fa)
+            if not 2.0 / 3.0 <= (ffar - fx) / ((far - x) * dfx) <= 1.5:
+                xn = math.nan
+        elif not abs(fx) <= 0.5 * fprev:
+            xn = 2.0 * xn - x if a < 2.0 * xn - x < b else math.nan
+        if newton and xn != xn:
+            kappa1 = 0.0
+            budget = eps * 2.0 ** (math.ceil(math.log2((b - a) / (2.0 * eps))) + 1)
+        newton = xn == xn
         r, budget = budget - 0.5 * (b - a), 0.5 * budget
-        if r > 0.0 and math.isfinite(fa) and math.isfinite(fb):
-            kappa1 = kappa1 or 0.2 / (b - a)
-            xf = a + (b - a) * fa / (fa - fb)
-            sigma = math.copysign(1.0, mid - xf)
-            delta = kappa1 * (b - a) ** 2
-            xt = xf + sigma * delta if delta <= abs(mid - xf) else mid
-            x = xt if abs(xt - mid) <= r else mid - sigma * r
-            x = x if a < x < b else mid
-        fm = f(x)
-        if fm == 0.0:
-            return RootResult(x, it, fm, True)
-        if math.copysign(1.0, fm) == math.copysign(1.0, fa):
-            a, fa = x, fm
+        x = xn
+        if not newton:
+            x = mid
+            if r > 0.0 and finite:
+                kappa1 = kappa1 or 0.2 / (b - a)
+                xf = a + (b - a) * fa / (fa - fb)
+                sigma = math.copysign(1.0, mid - xf)
+                delta = kappa1 * (b - a) ** 2
+                xt = xf + sigma * delta if delta <= abs(mid - xf) else mid
+                x = xt if abs(xt - mid) <= r else mid - sigma * r
+                x = x if a < x < b else mid
+        fprev = abs(fx)
+        fx = f(x)
+        dfx = math.nan if df is None else df(x)
+        if fx == 0.0:
+            return RootResult(x, it, fx, True, dfx)
+        if math.copysign(1.0, fx) == math.copysign(1.0, fa):
+            a, fa = x, fx
         else:
-            b, fb = x, fm
+            b, fb = x, fx
         if b - a <= xtol:
-            return RootResult(0.5 * (a + b), it, fm, True)
-    return RootResult(mid, max_iter, fm, False)
+            return RootResult(0.5 * (a + b), it, fx, True, dfx)
+    return RootResult(mid, max_iter, fx, False, dfx)
 
 
 def refine_crossing(
@@ -108,42 +147,10 @@ def refine_crossing(
     flo: float | None = None,
     fhi: float | None = None,
 ) -> float:
-    """Refine a bracketed sign change down to float resolution.
-
-    Polishes interval endpoints located by grid scans with ITP steps (bisection
-    fallback) until the bracket collapses to adjacent floats (well below 1e-12);
-    the iteration cap accommodates roots many orders below the bracket width.
-    """
+    """Refine a bracketed sign change by ITP steps down to adjacent floats;
+    the iteration cap allows for roots many orders below the bracket width."""
     res = bisect_root(f, lo, hi, xtol=0.0, max_iter=1200, flo=flo, fhi=fhi)
     return res.root
-
-
-def golden_section_max(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    *,
-    iterations: int = 200,
-) -> tuple[float, float]:
-    """Maximize a unimodal ``f`` on [lo, hi]; returns (argmax, max)."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iterations):
-        if b - a <= 1e-14:
-            break
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
 
 
 def _simpson(fa, fm, fb, h):

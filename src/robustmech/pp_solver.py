@@ -43,7 +43,7 @@ __all__ = [
 FEASIBILITY_MARGIN = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PPSolveReport:
     """Optimal posted price and fragility for one (reference, target) instance."""
 
@@ -114,8 +114,8 @@ def _optimal_price_scan(dist: ValuationDistribution, k: float) -> float:
     i = int(np.argmax(k * dist._integrals(ps, np.minimum((1.0 + 1.0 / k) * ps, 1.0))))
 
     def slope(p: float) -> float:
-        upper, at = dist._ccdf(np.array([min((1.0 + 1.0 / k) * p, 1.0), p]))
-        return (k + 1.0) * upper - k * at
+        upper = dist._ccdf(np.asarray(min((1.0 + 1.0 / k) * p, 1.0)))
+        return float((k + 1.0) * upper - k * dist._ccdf(np.asarray(p)))
 
     lo, hi = float(ps[max(i - 1, 0)]), float(ps[min(i + 1, len(ps) - 1)])
     flo, fhi = slope(lo), slope(hi)

@@ -37,7 +37,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ROSolveReport:
     """Worst-case-optimal solution for one (reference, radius) instance."""
 
@@ -77,8 +77,8 @@ def _pi_ro_cut(
     pi0, _ = max_posted_revenue(dist)
     if r == 0.0:
         return cut(dist, pi0), 0, 0.0
-    # the gap falls from the mean at level 0 to zero at pi0
-    c, res = level_search(dist, lambda c: r - c.gap, math.log(pi0))
+    # the gap falls from the mean at level 0 to zero at pi0, with slope -log_sum
+    c, res = level_search(dist, lambda c: r - c.gap, math.log(pi0), lambda c: c.log_sum)
     if res is None:
         return c, 0, c.gap - r
     # report gap - r; subtracting from +0.0 keeps an exact root at +0.0

@@ -12,7 +12,7 @@ import mpmath
 import numpy as np
 from scipy.special import betaincinv
 
-from robustmech import DomainError, Empirical
+from robustmech import Beta, DomainError, Empirical, Mixture, Power, TruncatedExponential, Uniform
 
 
 def sorted_quantile_transport(p: Empirical, q: Empirical) -> float:
@@ -196,3 +196,42 @@ def mp_beta_quantile(a: float, b: float, u: float) -> mpmath.mpf:
             if abs(step) < mpmath.mpf("1e-25"):
                 return z if u <= 0.5 else 1 - z
     raise RuntimeError(f"no 50-digit quantile of Beta({a}, {b}) at u = {u!r}")
+
+
+def mp_ccdf(dist, x) -> mpmath.mpf:
+    """The CCDF of a closed-form family at x, in the working mpmath precision.
+
+    Beta's upper tail is I(beta, alpha, 1 - x), with 1 - x exact in mpmath,
+    so no digits cancel near x = 1.
+    """
+    x = mpmath.mpf(x)
+    if isinstance(dist, Uniform):
+        return 1 - x
+    if isinstance(dist, Power):
+        return 1 - x ** mpmath.mpf(dist.alpha)
+    if isinstance(dist, TruncatedExponential):
+        lam = mpmath.mpf(dist.rate)
+        return (mpmath.exp(-lam * x) - mpmath.exp(-lam)) / -mpmath.expm1(-lam)
+    if isinstance(dist, Beta):
+        return mpmath.betainc(dist.beta, dist.alpha, 0, 1 - x, regularized=True)
+    if isinstance(dist, Mixture):
+        return mpmath.fsum(mpmath.mpf(w) * mp_ccdf(c, x) for w, c in zip(dist.weights, dist.components))
+    raise TypeError(f"no 50-digit CCDF for {dist!r}")
+
+
+def mp_cdf(dist, x) -> mpmath.mpf:
+    """The CDF of a closed-form family at x, in the working mpmath precision,
+    written from the lower tail so that no digits cancel near x = 0."""
+    x = mpmath.mpf(x)
+    if isinstance(dist, Uniform):
+        return x
+    if isinstance(dist, Power):
+        return x ** mpmath.mpf(dist.alpha)
+    if isinstance(dist, TruncatedExponential):
+        lam = mpmath.mpf(dist.rate)
+        return mpmath.expm1(-lam * x) / mpmath.expm1(-lam)
+    if isinstance(dist, Beta):
+        return mpmath.betainc(dist.alpha, dist.beta, 0, x, regularized=True)
+    if isinstance(dist, Mixture):
+        return mpmath.fsum(mpmath.mpf(w) * mp_cdf(c, x) for w, c in zip(dist.weights, dist.components))
+    raise TypeError(f"no 50-digit CDF for {dist!r}")

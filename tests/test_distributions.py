@@ -1,11 +1,12 @@
 import json
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import sorted_quantile_transport, trapezoid_ccdf_distance
+from helpers import mp_cdf, mp_ccdf, sorted_quantile_transport, trapezoid_ccdf_distance
 from robustmech import (
     Beta,
     DomainError,
@@ -14,6 +15,7 @@ from robustmech import (
     Power,
     TruncatedExponential,
     Uniform,
+    ValuationDistribution,
     from_json,
     max_posted_revenue,
     revenue,
@@ -131,6 +133,28 @@ class TestMaxPostedRevenue:
     def test_two_point(self, two_point):
         assert max_posted_revenue(two_point) == (pytest.approx(0.35), pytest.approx(0.7))
 
+    @pytest.mark.parametrize("b", [1e-5, 3e-6])
+    def test_argmax_next_to_one(self, b):
+        # x (1 - x)**b peaks at 1 / (1 + b), in the grid's last cells, where
+        # the density diverges at x = 1
+        pi0, price = max_posted_revenue(Beta(1.0, b))
+        assert price == pytest.approx(1.0 / (1.0 + b), rel=1e-9)
+        assert pi0 == pytest.approx((b / (1.0 + b)) ** b / (1.0 + b), rel=1e-12)
+
+    @pytest.mark.parametrize("shape", [(0.5, 0.5), (2.0, 5.0), (10.0, 2.0)])
+    def test_price_is_the_root_of_the_revenue_slope(self, shape):
+        # the root of ccdf(p) = p pdf(p) in 50 digits (0.63059459529... for
+        # Beta(0.5, 0.5), where golden section stopped at 0.63059458756)
+        dist = Beta(*shape)
+        _, price = max_posted_revenue(dist)
+        a, b = (mpmath.mpf(s) for s in shape)
+        with mpmath.workdps(50):
+            root = mpmath.findroot(
+                lambda p: mp_ccdf(dist, p) - p * p ** (a - 1) * (1 - p) ** (b - 1) / mpmath.beta(a, b),
+                mpmath.mpf(price),
+            )
+            assert abs(price - root) <= 1e-13 * root
+
     @given(
         v1=st.floats(0.05, 0.6),
         dv=st.floats(0.05, 0.39),
@@ -149,6 +173,76 @@ class TestMaxPostedRevenue:
         rng = np.random.default_rng(0)
         prices = rng.random(1000)
         assert all(revenue(dist, float(p)) <= pi0 + 1e-9 for p in prices)
+
+
+#: every closed-form family, with shapes on both sides of 1
+DENSITY_FAMILIES = {
+    "uniform": Uniform(),
+    "power3": Power(3.0),
+    "texp0.2": TruncatedExponential(0.2),
+    "texp5": TruncatedExponential(5.0),
+    "beta2_5": Beta(2.0, 5.0),
+    "beta.5_.5": Beta(0.5, 0.5),
+    "beta10_2": Beta(10.0, 2.0),
+    "beta.7_3": Beta(0.7, 3.0),
+    "mixture": Mixture((Beta(2.0, 10.0), Beta(10.0, 2.0)), (0.85, 0.15)),
+}
+#: random points, and points near both ends of the support
+DENSITY_XS = sorted(
+    np.random.default_rng(11).random(12).tolist() + [1e-300, 1e-12, 1e-4, 0.5, 0.9999, 1.0 - 1e-8]
+)
+
+
+class TestDensity:
+    @pytest.mark.parametrize("x", DENSITY_XS)
+    @pytest.mark.parametrize("dist", DENSITY_FAMILIES.values(), ids=DENSITY_FAMILIES.keys())
+    def test_pdf_is_the_mpmath_derivative_of_the_ccdf(self, dist, x):
+        # a central difference of the tail nearer x, with a step 1e-15 of the
+        # distance to that end: its error is about 1e-30 relative
+        with mpmath.workdps(50):
+            t = mpmath.mpf(x)
+            if x < 0.5:
+                h = t * mpmath.mpf("1e-15")
+                want = (mp_cdf(dist, t + h) - mp_cdf(dist, t - h)) / (2 * h)
+            else:
+                h = (1 - t) * mpmath.mpf("1e-15")
+                want = (mp_ccdf(dist, t - h) - mp_ccdf(dist, t + h)) / (2 * h)
+        if want < 1e-300:
+            # below the normal floats the density underflows
+            assert dist._pdf(x) <= 1e-300
+        else:
+            assert abs(dist._pdf(x) - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("x", [0.01, 0.1, 0.5, 0.9, 0.99])
+    def test_central_difference_for_families_with_only_a_ccdf(self, x):
+        class Cubic(ValuationDistribution):
+            def _ccdf(self, xs):
+                return 1.0 - xs**3
+
+        # the step 2**-17 leaves an error of 2**-34 from the third derivative
+        assert Cubic()._pdf(x) == pytest.approx(3.0 * x * x, rel=1e-9, abs=1e-10)
+
+
+class TestBetaUpperTail:
+    @pytest.mark.parametrize(
+        "x", [0.9999, 1.0 - 1e-8, 0.5, 0.75] + np.random.default_rng(12).random(8).tolist()
+    )
+    @pytest.mark.parametrize("shape", [(2.0, 5.0), (0.5, 0.5), (10.0, 2.0), (3.0, 0.7)])
+    def test_ccdf_matches_mpmath(self, shape, x):
+        dist = Beta(*shape)
+        with mpmath.workdps(50):
+            want = mp_ccdf(dist, x)
+        assert abs(dist.ccdf(x) - want) <= 1e-13 * want
+
+    def test_beta25_keeps_its_tail_at_0_9999(self):
+        # 1 - betainc(2, 5, 0.9999) is 0.0
+        assert Beta(2.0, 5.0).ccdf(0.9999) == pytest.approx(5.9995e-20, rel=1e-12)
+
+    def test_arrays_match_scalars(self):
+        dist = Beta(0.5, 3.0)
+        xs = np.concatenate((np.linspace(0.0, 1.0, 1001), [0.5 - 1e-17, 0.5, 1.0 - 1e-12]))
+        got = dist.ccdf(xs)
+        assert got.tolist() == [dist.ccdf(float(x)) for x in xs]
 
 
 class TestQuantile:

@@ -26,7 +26,9 @@ from robustmech import (
     radius_for_target,
     solve,
     solve_pp,
+    solve_ro,
     sweep_csv,
+    tau_equiv,
     theta_condition,
     theta_sensitivity,
     wasserstein_distance,
@@ -80,6 +82,39 @@ class TruncatedPareto(ValuationDistribution):
 
     def to_json(self):
         return {"kind": "truncated_pareto"}
+
+
+class TestTruncatedPareto:
+    """Solves on a reference that has only ``_ccdf`` (its density is the base
+    class's central difference) against values from the ITP searches and the
+    golden-section argmax that the Newton searches replaced."""
+
+    #: tau: (k*, pi*, k_pp, p_pp)
+    RS_PP = {
+        0.03: (0.10502692541371225, 7.322593963745009e-05, 0.1553006414548312, 0.09113207178570698),
+        0.06: (0.21734714680756406, 0.009296206363530244, 0.5165598572592992, 0.17146042943798714),
+        0.1: (0.5743591434144398, 0.07636408762300968, 3.6829494501141222, 0.2773803186527082),
+    }
+    #: r: (pi_ro_star, tau_equiv)
+    RO = {
+        0.01: (0.09858711969907655, 0.10826885765868652),
+        0.05: (0.0714802447820859, 0.09804515963055112),
+        0.2: (0.017166809918775835, 0.06820223004810116),
+    }
+
+    def test_max_posted_revenue(self):
+        assert max_posted_revenue(TruncatedPareto())[0] == pytest.approx(0.11331702871443293, rel=1e-12)
+
+    @pytest.mark.parametrize("tau", RS_PP)
+    def test_rs_and_pp(self, tau):
+        rs, pp = solve(TruncatedPareto(), tau), solve_pp(TruncatedPareto(), tau)
+        got = (rs.k_star, rs.pi_star, pp.k_pp, pp.p_pp)
+        assert got == pytest.approx(self.RS_PP[tau], rel=1e-12)
+
+    @pytest.mark.parametrize("r", RO)
+    def test_ro(self, r):
+        got = (solve_ro(TruncatedPareto(), r).pi_ro_star, tau_equiv(TruncatedPareto(), r))
+        assert got == pytest.approx(self.RO[r], rel=1e-12)
 
 
 class TestExpectedRevenue:

@@ -119,6 +119,40 @@ class TestCrossingCells:
         assert _crossing_cells(dist, x0) == mask_crossing_cells(g, x0)
 
 
+class TestCrossings:
+    """The cut's interval ends, refined by Newton steps on x ccdf(x) - pi."""
+
+    @pytest.mark.parametrize("name", SOLVE_MIX_REFERENCES)
+    def test_sign_change_across_each_end_and_a_float_next_to_it(self, name):
+        dist = SOLVE_MIX_REFERENCES[name]
+        pi0, _ = max_posted_revenue(dist)
+        for pi in np.exp(np.linspace(math.log(0.999 * pi0), -700.0, 200)).tolist():
+
+            def f(x: float) -> float:
+                return x * dist.ccdf(x) - pi
+
+            for u, w in cut(dist, pi).intervals:
+                for x in (u, w) if w < 1.0 else (u,):
+                    fx = f(x)
+                    neighbours = (f(math.nextafter(x, 0.0)), f(math.nextafter(x, 1.0)))
+                    assert fx == 0.0 or any((fx < 0.0) != (fn < 0.0) for fn in neighbours), (pi, x)
+
+    @pytest.mark.parametrize("frac", [1e-6, 0.05, 0.45, 0.95])
+    @pytest.mark.parametrize("name", SOLVE_MIX_REFERENCES)
+    def test_dlog_sum_is_the_slope_of_log_sum(self, name, frac):
+        dist = SOLVE_MIX_REFERENCES[name]
+        pi = frac * max_posted_revenue(dist)[0]
+        h = 1e-6 * pi
+        central = (cut(dist, pi + h).log_sum - cut(dist, pi - h).log_sum) / (2.0 * h)
+        assert cut(dist, pi).dlog_sum == pytest.approx(central, rel=1e-6)
+
+    def test_gap_moves_as_minus_log_sum(self, beta25):
+        # the envelope theorem behind the level searches' Newton steps
+        pi, h = 0.04, 1e-7
+        central = (gap_only(beta25, pi + h) - gap_only(beta25, pi - h)) / (2.0 * h)
+        assert central == pytest.approx(-cut(beta25, pi).log_sum, rel=1e-7)
+
+
 class TestEmpiricalCut:
     def test_branch_low(self, two_point):
         c = cut(two_point, 0.1)

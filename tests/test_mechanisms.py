@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -29,6 +30,23 @@ class TestConstruction:
         for mech in (uniform_mech, two_interval_mech):
             total = sum(math.log(w / u) for u, w in mech.intervals)
             assert mech.slope * total == pytest.approx(1.0, abs=1e-12)
+
+    def test_shares_the_cut_intervals(self, uniform):
+        report = solve(uniform, 0.2)
+        assert report.mechanism.intervals is report.intervals
+
+    def test_copies_other_intervals_as_float_pairs(self):
+        mech = RandomizedLogMechanism(intervals=[[0.25, np.float64(0.5)], (0.6, 1)], cut_level=0.1)
+        assert mech.intervals == ((0.25, 0.5), (0.6, 1.0))
+        assert all(type(x) is float for iv in mech.intervals for x in iv)
+
+    def test_running_sums_equality_and_pickling(self, two_interval_mech):
+        mech = two_interval_mech
+        (u1, w1), (u2, w2) = mech.intervals
+        assert mech._cum_log == (0.0, math.log(w1 / u1), math.log(w1 / u1) + math.log(w2 / u2))
+        assert mech._cum_width == (0.0, w1 - u1, (w1 - u1) + (w2 - u2))
+        copy = pickle.loads(pickle.dumps(mech))
+        assert copy == mech and copy.to_json() == mech.to_json()
 
     def test_rejects_empty_or_bad_intervals(self):
         with pytest.raises(DomainError):

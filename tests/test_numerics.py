@@ -6,7 +6,6 @@ from robustmech.errors import BracketError
 from robustmech.numerics import (
     adaptive_simpson,
     bisect_root,
-    golden_section_max,
     refine_crossing,
 )
 
@@ -36,12 +35,6 @@ def test_refine_crossing_in_a_subnormal_bracket():
     # half an ulp of the bracket's ends rounds to 0 below 2**-1021
     root = refine_crossing(lambda x: x - 1e-310, 0.0, 3e-308)
     assert math.nextafter(root, 0.0) <= 1e-310 <= math.nextafter(root, 1.0)
-
-
-def test_golden_section_max_quadratic():
-    x, val = golden_section_max(lambda x: -((x - 0.37) ** 2), 0.0, 1.0)
-    assert x == pytest.approx(0.37, abs=1e-9)
-    assert val == pytest.approx(0.0, abs=1e-15)
 
 
 def test_adaptive_simpson_polynomial_exact():
@@ -102,3 +95,45 @@ def test_bisect_infinite_end_values_converge():
     res = bisect_root(lambda x: math.log(x) + 1.0, 0.0, 5.0, xtol=0.0, flo=-math.inf, fhi=math.inf)
     assert res.converged
     assert res.root == pytest.approx(math.exp(-1.0), rel=1e-15)
+
+
+def _certified(f, root):
+    """f changes sign between root and a float next to it (or is 0 there)."""
+    fr = f(root)
+    return fr == 0.0 or any((fr < 0.0) != (f(math.nextafter(root, t)) < 0.0) for t in (-math.inf, math.inf))
+
+
+def test_newton_steps_from_the_derivative():
+    def f(x):
+        return x * x - 2.0
+
+    res = bisect_root(f, 1.0, 2.0, xtol=0.0, df=lambda x: 2.0 * x)
+    assert abs(res.root - math.sqrt(2.0)) <= math.ulp(math.sqrt(2.0))
+    assert _certified(f, res.root)
+    assert res.iterations <= 7 < bisect_root(f, 1.0, 2.0, xtol=0.0).iterations + 3
+    assert res.slope == pytest.approx(2.0 * res.root, rel=1e-15)
+
+
+@pytest.mark.parametrize("pi", [1e-200, 1e-30, 1e-12, 1e-6])
+def test_newton_on_a_power_law_tail_takes_no_more_steps_than_itp(pi):
+    # x (1 - x)**5 - pi near x = 1, where Newton alone creeps by (1 - x) / 5
+    def f(x):
+        return x * (1.0 - x) ** 5 - pi
+
+    def df(x):
+        return (1.0 - x) ** 5 - 5.0 * x * (1.0 - x) ** 4
+
+    newton = bisect_root(f, 0.9, 1.0, xtol=0.0, max_iter=1200, df=df)
+    itp = bisect_root(f, 0.9, 1.0, xtol=0.0, max_iter=1200)
+    assert newton.root == itp.root
+    assert _certified(f, newton.root)
+    assert newton.iterations <= itp.iterations
+
+
+def test_newton_toward_an_infinite_end_value():
+    res = bisect_root(
+        lambda t: math.log(t) + 1.0, 0.01, 5.0, xtol=0.0,
+        flo=math.log(0.01) + 1.0, fhi=math.inf, df=lambda t: 1.0 / t, dflo=100.0,
+    )
+    assert res.root == pytest.approx(math.exp(-1.0), rel=1e-15)
+    assert res.iterations <= 8

@@ -14,6 +14,7 @@ from robustmech import (
     gap_only,
     max_posted_revenue,
     pi_star,
+    radius_for_target,
     rho_star,
     rs_solver,
     solve,
@@ -268,11 +269,27 @@ class TestLevelSearch:
         ],
     )
     def test_cuts_per_solve(self, dist, frac, cut_levels):
-        # probes down from log(tau) and ITP steps between two of them take
-        # about 15 cuts; ITP from the floor took about 20, plain bisection
-        # of log(level) about 60
+        # probes down from log(tau) and Newton steps between two of them take
+        # 7-12 cuts; ITP steps took 12-17, ITP from the floor about 20 and
+        # plain bisection of log(level) about 60
         solve(dist, frac * max_posted_revenue(dist)[0])
-        assert 2 < len(cut_levels) <= 20
+        assert 2 < len(cut_levels) <= 12
+
+    @pytest.mark.parametrize("frac", [0.05, 0.45, 0.95])
+    @pytest.mark.parametrize(
+        "dist",
+        [
+            pytest.param(Uniform(), id="uniform"),
+            pytest.param(Beta(2.0, 5.0), id="beta25"),
+            pytest.param(Mixture((Beta(2.0, 10.0), Beta(10.0, 2.0)), (0.85, 0.15)), id="bimodal"),
+        ],
+    )
+    def test_ro_cuts_per_solve(self, dist, frac, cut_levels):
+        # the radius whose worst-case revenue is frac * pi0: Newton steps take
+        # 6-13 cuts, ITP steps took 12-35
+        r = radius_for_target(dist, frac * max_posted_revenue(dist)[0])
+        solve_ro(dist, r)
+        assert 2 < len(cut_levels) <= 14
 
     @pytest.mark.parametrize(
         "search",
