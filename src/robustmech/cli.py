@@ -148,8 +148,8 @@ def _cmd_compare(args) -> int:
             "pp": pp_rep.to_json(),
             "ro_mechanism": ro_mech.to_json(),
             "rs_vs_ro_crossings": crossings.to_json(),
-            "rs_price_stats": rs_rep.mechanism.price_statistics().__dict__,
-            "ro_price_stats": ro_mech.price_statistics().__dict__,
+            "rs_price_stats": rs_rep.mechanism.price_statistics().to_json(),
+            "ro_price_stats": ro_mech.price_statistics().to_json(),
         }
     )
     if args.true:

@@ -221,7 +221,9 @@ class Power(ValuationDistribution):
             raise DomainError(f"power exponent must be finite, >= 1, got {self.alpha}")
 
     def _ccdf(self, xs):
-        return 1.0 - xs**self.alpha
+        # no cancellation near x = 1; the least positive float keeps log(0)
+        # silent, and 0.0 - keeps ccdf(1) at +0.0
+        return 0.0 - np.expm1(self.alpha * np.log(np.maximum(xs, 5e-324)))
 
     def _pdf(self, x):
         return self.alpha * x ** (self.alpha - 1.0)
@@ -254,10 +256,11 @@ class TruncatedExponential(ValuationDistribution):
 
     @property
     def _z(self):
-        return 1.0 - math.exp(-self.rate)
+        return -math.expm1(-self.rate)
 
     def _ccdf(self, xs):
-        return (np.exp(-self.rate * xs) - math.exp(-self.rate)) / self._z
+        # exp(-rate x) (1 - exp(-rate (1 - x))) / z keeps the tail near x = 1
+        return np.exp(-self.rate * xs) * np.expm1(-self.rate * (1.0 - xs)) / -self._z
 
     def _pdf(self, x):
         return self.rate * math.exp(-self.rate * x) / self._z
@@ -682,8 +685,10 @@ def from_json(spec) -> ValuationDistribution:
         if kind == "mixture":
             comps = tuple(from_json(c) for c in spec["components"])
             return Mixture(comps, tuple(float(w) for w in spec["weights"]))
-    except KeyError as exc:
-        raise DomainError(f"distribution spec {spec!r} missing field {exc}") from exc
+    except DomainError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DomainError(f"malformed distribution spec {spec!r}: {exc!r}") from exc
     raise DomainError(f"unknown distribution kind {kind!r}")
 
 

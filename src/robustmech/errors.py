@@ -62,6 +62,13 @@ def any_outside(xs: np.ndarray, lo: float, hi: float) -> bool:
     return bool((~(xs >= lo) | ~(xs <= hi)).any())
 
 
+def check_target(tau: float, pi0: float) -> None:
+    """Raise ``InfeasibleTargetError`` unless 0 < tau < pi0 - 1e-9: the
+    fragility diverges as tau approaches the maximum posted revenue pi0."""
+    if not tau > 0.0 or tau >= pi0 - 1e-9:
+        raise InfeasibleTargetError(tau, pi0)
+
+
 def check_count(n, least: int, what: str) -> None:
     """Raise ``DomainError`` unless ``n`` is an integer >= ``least``."""
     if not isinstance(n, numbers.Integral) or n < least:

@@ -28,6 +28,7 @@ from .isorevenue import cut
 from .mechanisms import Mechanism, PostedPrice
 from .numerics import refine_crossing
 from .pp_solver import solve_pp
+from .records import Record
 from .ro_solver import build_ro_mechanism, radius_for_target, ro_pp_price
 from .rs_solver import solve
 
@@ -57,7 +58,7 @@ PREFERENCE_DEAD_BAND = 1e-10
 
 
 @dataclass(frozen=True)
-class EvalReport:
+class EvalReport(Record):
     """Expected revenue of one mechanism under one true distribution.
 
     The true distribution is kept as the object itself and rendered to JSON
@@ -66,27 +67,12 @@ class EvalReport:
     """
 
     mechanism_id: str
-    truth: ValuationDistribution
+    truth: ValuationDistribution = field(metadata={"json_key": "true_dist"})
     expected_revenue: float
     method: str
     mc_n: int | None = None
     seed: int | None = None
     standard_error: float | None = None
-
-    @property
-    def true_dist(self) -> dict:
-        return self.truth.to_json()
-
-    def to_json(self) -> dict:
-        return {
-            "mechanism_id": self.mechanism_id,
-            "true_dist": self.true_dist,
-            "expected_revenue": self.expected_revenue,
-            "method": self.method,
-            "mc_n": self.mc_n,
-            "seed": self.seed,
-            "standard_error": self.standard_error,
-        }
 
 
 def _exact_expected_revenue(mech: Mechanism, p: ValuationDistribution) -> float:
@@ -178,7 +164,7 @@ def eta_ro(
 
 
 @dataclass(frozen=True)
-class CrossingThresholds:
+class CrossingThresholds(Record):
     """Largest valuations below which mechanism A weakly dominates B.
 
     ``None`` means the corresponding difference never changes sign.  Change
@@ -191,16 +177,6 @@ class CrossingThresholds:
     q_changes: int
     m_changes: int
     s_changes: int
-
-    def to_json(self) -> dict:
-        return {
-            "v_q": self.v_q,
-            "v_m": self.v_m,
-            "v_s": self.v_s,
-            "q_changes": self.q_changes,
-            "m_changes": self.m_changes,
-            "s_changes": self.s_changes,
-        }
 
 
 def _sign_profile(diff: np.ndarray, band: float = 1e-13):
@@ -268,7 +244,7 @@ def theta_sensitivity(kappa: float) -> float:
 
 
 @dataclass(frozen=True)
-class ThetaDiagnostic:
+class ThetaDiagnostic(Record):
     """Iso-revenue sensitivity check at revenue level c.
 
     Compares the revenue slope at the lower iso-revenue price against the
@@ -285,26 +261,16 @@ class ThetaDiagnostic:
     rhs: float
     holds: bool
 
-    def to_json(self) -> dict:
-        return {
-            "c": self.c,
-            "u": self.u,
-            "w": self.w,
-            "kappa": self.kappa,
-            "theta": self.theta,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "holds": self.holds,
-        }
-
 
 def theta_condition(dist: ValuationDistribution, c: float) -> ThetaDiagnostic:
     """Evaluate the sensitivity condition R'(u) <= theta * |R'(w)| at level c.
 
     Requires a reference whose iso-revenue cut at c is a single interval with
     distinct prices u < w; tangency is rejected as degenerate.  R' is the
-    revenue curve's slope ccdf - x pdf.
+    revenue curve's slope ccdf - x pdf, so an empirical reference is rejected.
     """
+    if isinstance(dist, Empirical):
+        raise DomainError("sensitivity check needs a reference with a density")
     pi0, _ = max_posted_revenue(dist)
     if not 0.0 < c < pi0:
         raise DomainError(f"revenue level {c!r} outside (0, {pi0!r})")
@@ -326,7 +292,7 @@ def theta_condition(dist: ValuationDistribution, c: float) -> ThetaDiagnostic:
 
 
 @dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(Record):
     """Grid specification for the Beta out-of-sample sweep.
 
     ``mc_n`` = 0 evaluates cells exactly; a positive value switches the cell
@@ -344,19 +310,9 @@ class SweepConfig:
     def __post_init__(self):
         check_count(self.mc_n, 0, "Monte Carlo sample size")
 
-    def to_json(self) -> dict:
-        return {
-            "alphas": list(self.alphas),
-            "betas": list(self.betas),
-            "tau_fracs": list(self.tau_fracs),
-            "reference": self.reference.to_json(),
-            "seed": self.seed,
-            "mc_n": self.mc_n,
-        }
-
 
 @dataclass(frozen=True)
-class SweepCell:
+class SweepCell(Record):
     alpha: float
     beta: float
     tau_over_pi0: float
@@ -367,20 +323,6 @@ class SweepCell:
     in_ambiguity_set: bool
     wasserstein_to_ref: float
     skipped: bool = False
-
-    def to_json(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "tau_over_pi0": self.tau_over_pi0,
-            "rev_rs": self.rev_rs,
-            "rev_ro": self.rev_ro,
-            "rev_pp": self.rev_pp,
-            "preferred": self.preferred,
-            "in_ambiguity_set": self.in_ambiguity_set,
-            "wasserstein_to_ref": self.wasserstein_to_ref,
-            "skipped": self.skipped,
-        }
 
 
 def _classify(rev_rs: float, rev_ro: float, rev_pp: float) -> str:

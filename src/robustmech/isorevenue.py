@@ -26,6 +26,7 @@ from .distributions import (
 )
 from .errors import DomainError, InfeasibleLevelError, any_outside
 from .numerics import bisect_root
+from .records import Record
 
 __all__ = ["IsoRevenueCut", "cut", "gap_only", "worst_case_ccdf"]
 
@@ -39,7 +40,7 @@ _TIE_BAND = 1e-12
 
 
 @dataclass(frozen=True)
-class IsoRevenueCut:
+class IsoRevenueCut(Record):
     """Intervals where the reference revenue curve stays at or above ``pi``.
 
     ``gap`` is the Wasserstein distance from the truncated iso-revenue
@@ -64,15 +65,6 @@ class IsoRevenueCut:
     @property
     def count(self) -> int:
         return len(self.intervals)
-
-    def to_json(self) -> dict:
-        return {
-            "pi": self.pi,
-            "intervals": [[u, w] for u, w in self.intervals],
-            "gap": self.gap,
-            "log_sum": self.log_sum,
-            "tie_points": list(self.tie_points),
-        }
 
 
 def _validate_level(dist: ValuationDistribution, pi: float) -> float:

@@ -17,12 +17,13 @@ import numpy as np
 
 from .errors import DomainError, any_outside
 from .isorevenue import IsoRevenueCut
+from .records import Record
 
 __all__ = ["RandomizedLogMechanism", "PostedPrice", "PriceStatistics", "Mechanism"]
 
 
 @dataclass(frozen=True)
-class PriceStatistics:
+class PriceStatistics(Record):
     mean: float
     variance: float
     skewness: float

@@ -26,10 +26,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import Empirical, ValuationDistribution, max_posted_revenue
-from .errors import DomainError, InfeasibleTargetError
+from .errors import DomainError, check_target
 from .isorevenue import cut  # noqa: F401  (bench/spans.py patches this name)
 from .mechanisms import PostedPrice
 from .numerics import bisect_root, refine_crossing
+from .records import Record
 from .rs_solver import level_search
 
 __all__ = [
@@ -40,11 +41,9 @@ __all__ = [
     "solve_pp_two_point",
 ]
 
-FEASIBILITY_MARGIN = 1e-9
-
 
 @dataclass(frozen=True, slots=True)
-class PPSolveReport:
+class PPSolveReport(Record):
     """Optimal posted price and fragility for one (reference, target) instance."""
 
     tau: float
@@ -58,19 +57,6 @@ class PPSolveReport:
     #: per k), "empirical" (exact candidates per k) or "closed_form" (two atoms)
     path: str
     warnings: tuple[str, ...] = field(default=())
-
-    def to_json(self) -> dict:
-        return {
-            "tau": self.tau,
-            "k_pp": self.k_pp,
-            "p_pp": self.p_pp,
-            "rho_at_solution": self.rho_at_solution,
-            "mechanism": self.mechanism.to_json(),
-            "iterations": self.iterations,
-            "residual": self.residual,
-            "path": self.path,
-            "warnings": list(self.warnings),
-        }
 
 
 def rho_pp(dist: ValuationDistribution, p: float, k: float) -> float:
@@ -152,8 +138,7 @@ def optimal_price_given_k(dist: ValuationDistribution, k: float) -> float:
 def solve_pp(dist: ValuationDistribution, tau: float) -> PPSolveReport:
     """Minimal fragility k with max_p rho_pp(p, k) = tau, and its price."""
     pi0, _ = max_posted_revenue(dist)
-    if not tau > 0.0 or tau >= pi0 - FEASIBILITY_MARGIN:
-        raise InfeasibleTargetError(tau, pi0)
+    check_target(tau, pi0)
     found = (
         _regular_cut(dist, lambda u, w: u / (w - u) * dist.ccdf_integral(u, w) - tau)
         if dist.is_regular
@@ -208,8 +193,7 @@ def solve_pp_two_point(
         raise DomainError("atom masses must be positive and sum to 1")
     mu0 = a1 * v1 + a2 * v2
     pi0 = max(v1, (1.0 - a1) * v2)
-    if not tau > 0.0 or tau >= pi0 - FEASIBILITY_MARGIN:
-        raise InfeasibleTargetError(tau, pi0)
+    check_target(tau, pi0)
     warnings: list[str] = []
     low_branch_edge = (1.0 - a1) * v1
     if abs(tau - low_branch_edge) <= 1e-12:

@@ -23,6 +23,7 @@ from .errors import (
 from .isorevenue import IsoRevenueCut, cut, gap_only
 from .mechanisms import Mechanism, PostedPrice, RandomizedLogMechanism
 from .numerics import bisect_root  # noqa: F401  (bench/spans.py patches this name)
+from .records import Record
 from .rs_solver import level_search
 
 __all__ = [
@@ -38,7 +39,7 @@ __all__ = [
 
 
 @dataclass(frozen=True, slots=True)
-class ROSolveReport:
+class ROSolveReport(Record):
     """Worst-case-optimal solution for one (reference, radius) instance."""
 
     r: float
@@ -48,17 +49,6 @@ class ROSolveReport:
     iterations: int
     residual: float
     warnings: tuple[str, ...] = field(default=())
-
-    def to_json(self) -> dict:
-        return {
-            "r": self.r,
-            "pi_ro_star": self.pi_ro_star,
-            "mechanism": self.mechanism.to_json(),
-            "pp_price_uniform": self.pp_price_uniform,
-            "iterations": self.iterations,
-            "residual": self.residual,
-            "warnings": list(self.warnings),
-        }
 
 
 def _check_radius(dist: ValuationDistribution, r: float) -> None:

@@ -24,20 +24,17 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from .distributions import ValuationDistribution, max_posted_revenue
-from .errors import InfeasibleTargetError
+from .errors import InfeasibleTargetError, check_target
 from .isorevenue import LOG_LEVEL_FLOOR, IsoRevenueCut, cut, gap_only
 from .mechanisms import RandomizedLogMechanism
 from .numerics import RootResult, bisect_root
+from .records import Record
 
 __all__ = ["SolveReport", "fragility_adjusted_revenue", "pi_star", "rho_star", "solve"]
 
-#: targets closer to the posted-price optimum than this are rejected: the
-#: fragility diverges as tau approaches the maximum posted revenue
-FEASIBILITY_MARGIN = 1e-9
-
 
 @dataclass(frozen=True, slots=True)
-class SolveReport:
+class SolveReport(Record):
     """Robust satisficing solution for one (reference, target) instance."""
 
     tau: float
@@ -49,19 +46,6 @@ class SolveReport:
     iterations: int
     residual: float
     warnings: tuple[str, ...] = field(default=())
-
-    def to_json(self) -> dict:
-        return {
-            "tau": self.tau,
-            "k_star": self.k_star,
-            "pi_star": self.pi_star,
-            "rho_at_solution": self.rho_at_solution,
-            "intervals": [[u, w] for u, w in self.intervals],
-            "mechanism": self.mechanism.to_json(),
-            "iterations": self.iterations,
-            "residual": self.residual,
-            "warnings": list(self.warnings),
-        }
 
 
 def fragility_adjusted_revenue(
@@ -169,8 +153,7 @@ def solve(dist: ValuationDistribution, tau: float) -> SolveReport:
     boundary the fragility diverges).
     """
     pi0, _ = max_posted_revenue(dist)
-    if not tau > 0.0 or tau >= pi0 - FEASIBILITY_MARGIN:
-        raise InfeasibleTargetError(tau, pi0)
+    check_target(tau, pi0)
     warnings: tuple[str, ...] = ()
     # gap - (tau - pi) log_sum = log_sum (rho - tau) rises with pi below tau,
     # at (pi - tau) dlog_sum as the gap moves as -log_sum; an empty cut sits

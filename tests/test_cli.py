@@ -56,6 +56,13 @@ class TestSolveRs:
         )
         assert code == 1
 
+    def test_mistyped_reference_field(self, capsys):
+        code, _, err = run_cli(
+            capsys, "solve-rs", "--reference", '{"kind":"power","alpha":[1]}', "--tau", "0.1"
+        )
+        assert code == 1
+        assert err.startswith("error: malformed distribution spec")
+
     def test_byte_identical_reruns(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for path in (a, b):

@@ -245,6 +245,23 @@ class TestBetaUpperTail:
         assert got.tolist() == [dist.ccdf(float(x)) for x in xs]
 
 
+class TestPowerAndExponentialUpperTail:
+    @pytest.mark.parametrize(
+        "x", [0.0, 0.5, 0.75, 0.9999, 1.0 - 1e-8, 1.0 - 9.1e-13]
+        + np.random.default_rng(13).random(4).tolist()
+    )
+    @pytest.mark.parametrize(
+        "dist",
+        [Power(3.0), Power(1.5), TruncatedExponential(1.0), TruncatedExponential(0.05),
+         TruncatedExponential(20.0)],
+        ids=["power3", "power1.5", "texp1", "texp0.05", "texp20"],
+    )
+    def test_ccdf_matches_mpmath(self, dist, x):
+        with mpmath.workdps(50):
+            want = mp_ccdf(dist, x)
+        assert abs(dist.ccdf(x) - want) <= 1e-13 * want
+
+
 class TestQuantile:
     @pytest.mark.parametrize(
         "dist",
@@ -361,6 +378,20 @@ class TestJson:
     def test_missing_field(self):
         with pytest.raises(DomainError):
             from_json('{"kind":"power"}')
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            '{"kind":"power","alpha":[1]}',
+            '{"kind":"beta","alpha":"two","beta":5}',
+            '{"kind":"mixture","components":5,"weights":[1]}',
+            '{"kind":"mixture","components":[{"kind":"uniform"}],"weights":1}',
+            '{"kind":"empirical","atoms":[[0.5]]}',
+        ],
+    )
+    def test_malformed_fields(self, spec):
+        with pytest.raises(DomainError):
+            from_json(spec)
 
 
 class TestValidation:

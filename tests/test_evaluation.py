@@ -325,6 +325,11 @@ class TestThetaCondition:
         with pytest.raises(DomainError):
             theta_condition(uniform, 0.26)
 
+    def test_rejects_empirical_references(self, two_point):
+        # the condition needs a density, which atoms do not have
+        with pytest.raises(DomainError, match="density"):
+            theta_condition(two_point, 0.1)
+
 
 SMALL_SWEEP = SweepConfig(
     alphas=(1.0, 2.0, 5.0),
