@@ -116,10 +116,7 @@ class ValuationDistribution:
 
     def cdf(self, x):
         """P(v <= x) for x in [0, 1]."""
-        xs, scalar = _as_array(x)
-        if any_outside(xs, -1e-12, 1.0 + 1e-12):
-            raise DomainError(f"valuation {x!r} outside [0, 1]")
-        return _maybe_scalar(1.0 - self._ccdf(np.clip(xs, 0.0, 1.0)), scalar)
+        return 1.0 - self.ccdf(x)
 
     def mean(self) -> float:
         """E[v] = integral of the CCDF over [0, 1]."""
@@ -654,10 +651,29 @@ class Empirical(ValuationDistribution):
         return {"kind": "empirical", "atoms": [[v, m] for v, m in self.atoms]}
 
 
+#: each distribution kind's class and its fields besides "kind"
+_SPECS = {
+    "uniform": (Uniform, ()),
+    "power": (Power, ("alpha",)),
+    "beta": (Beta, ("alpha", "beta")),
+    "truncated_exponential": (TruncatedExponential, ("rate",)),
+    "empirical": (Empirical, ("atoms",)),
+    "mixture": (Mixture, ("components", "weights")),
+}
+
+
+def _number(x) -> float:
+    """A JSON number (an int or a float, not a bool) as a float."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise TypeError(f"expected a number, got {x!r}")
+    return float(x)
+
+
 def from_json(spec) -> ValuationDistribution:
     """Parse a distribution from a JSON object or JSON string.
 
-    Accepted forms::
+    Accepted forms (numeric fields must be JSON numbers, and no other field
+    is allowed)::
 
         {"kind": "uniform"}
         {"kind": "power", "alpha": 2.0}
@@ -666,30 +682,29 @@ def from_json(spec) -> ValuationDistribution:
         {"kind": "empirical", "atoms": [[0.3, 0.5], [0.7, 0.5]]}
         {"kind": "mixture", "components": [...], "weights": [...]}
     """
-    if isinstance(spec, str):
-        spec = json.loads(spec)
+    return _from_spec(json.loads(spec) if isinstance(spec, str) else spec)
+
+
+def _from_spec(spec) -> ValuationDistribution:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise DomainError("distribution spec must be an object with a 'kind' field")
-    kind = spec["kind"]
     try:
-        if kind == "uniform":
-            return Uniform()
-        if kind == "power":
-            return Power(float(spec["alpha"]))
-        if kind == "beta":
-            return Beta(float(spec["alpha"]), float(spec["beta"]))
-        if kind == "truncated_exponential":
-            return TruncatedExponential(float(spec["rate"]))
-        if kind == "empirical":
-            return Empirical(tuple((float(v), float(m)) for v, m in spec["atoms"]))
-        if kind == "mixture":
-            comps = tuple(from_json(c) for c in spec["components"])
-            return Mixture(comps, tuple(float(w) for w in spec["weights"]))
+        if spec["kind"] not in _SPECS:
+            raise DomainError(f"unknown distribution kind {spec['kind']!r}")
+        cls, fields = _SPECS[spec["kind"]]
+        unknown = spec.keys() - {"kind", *fields}
+        if unknown:
+            raise KeyError(f"unknown fields {sorted(unknown)}")
+        args = [spec[f] for f in fields]
+        if cls is Empirical:
+            return Empirical(tuple((_number(v), _number(m)) for v, m in args[0]))
+        if cls is Mixture:
+            return Mixture(tuple(map(_from_spec, args[0])), tuple(map(_number, args[1])))
+        return cls(*map(_number, args))
     except DomainError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"malformed distribution spec {spec!r}: {exc!r}") from exc
-    raise DomainError(f"unknown distribution kind {kind!r}")
 
 
 def revenue(dist: ValuationDistribution, p: float) -> float:

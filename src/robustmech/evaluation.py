@@ -372,19 +372,16 @@ def beta_sweep(config: SweepConfig = SweepConfig()) -> list[SweepCell]:
                     )
                     continue
                 rs_mech, pp_mech, ro_mech, r = solved
+                mechs = (rs_mech, ro_mech, pp_mech)
                 if config.mc_n > 0:
                     # the cell's own stream keeps results order-independent;
                     # one draw set shared by the three mechanisms pairs the
                     # comparison
                     rng = np.random.default_rng([config.seed, cell_index])
                     draws = truth.sample(config.mc_n, rng)
-                    rev_rs = float(np.mean(rs_mech.payment(draws)))
-                    rev_ro = float(np.mean(ro_mech.payment(draws)))
-                    rev_pp = float(np.mean(pp_mech.payment(draws)))
+                    rev_rs, rev_ro, rev_pp = (float(np.mean(m.payment(draws))) for m in mechs)
                 else:
-                    rev_rs = _exact_expected_revenue(rs_mech, truth)
-                    rev_ro = _exact_expected_revenue(ro_mech, truth)
-                    rev_pp = _exact_expected_revenue(pp_mech, truth)
+                    rev_rs, rev_ro, rev_pp = (_exact_expected_revenue(m, truth) for m in mechs)
                 cells.append(
                     SweepCell(
                         alpha=alpha,

@@ -191,9 +191,18 @@ def _continuous_regions(dist: ValuationDistribution, pi: float):
             add(True, pi, dl)
         else:
             refine(True, pi, float(xs[0]), fl, float(g[0]) - pi, dl)
-    for j, rises in _crossing_cells(dist, pi):
+    cells = _crossing_cells(dist, pi)
+    for j, rises in cells:
         # the grid is f's expression on an array, so g[j] - pi is f(xs[j])
         refine(rises, float(xs[j]), float(xs[j + 1]), float(g[j]) - pi, float(g[j + 1]) - pi)
+    if not cells and g[0] < pi:
+        # every grid value is below pi, so only the hump around the argmax
+        # p, between two grid points, can reach a level short of pi0
+        pi0, p = max_posted_revenue(dist)
+        j = int(np.searchsorted(xs, p, side="right"))
+        if pi < pi0 and j > 0:
+            refine(True, float(xs[j - 1]), p, float(g[j - 1]) - pi, pi0 - pi)
+            refine(False, p, float(xs[j]), pi0 - pi, float(g[j]) - pi)
     if g[-1] >= pi:
         ends[False].append((1.0, 0.0))
     pairs = list(zip(ends[True], ends[False]))

@@ -91,11 +91,6 @@ class RandomizedLogMechanism:
     def from_cut(cls, cut: IsoRevenueCut) -> "RandomizedLogMechanism":
         return cls(intervals=cut.intervals, cut_level=cut.pi)
 
-    @property
-    def k(self) -> float:
-        """Payment slope (the fragility of the satisficing solution)."""
-        return self.slope
-
     def _locate(self, vs: np.ndarray):
         """Per valuation: the intervals it has passed, whether it lies inside
         the next one, that interval's start, and whether it tops the menu."""
@@ -129,15 +124,6 @@ class RandomizedLogMechanism:
     def buyer_surplus(self, v):
         """q(v) v - m(v); nonnegative and nondecreasing in v."""
         return _blockwise(lambda vs: self._allocation(vs) * vs - self._payment(vs), v)
-
-    def knots(self) -> np.ndarray:
-        """Valuations where q or m change regime (useful as quadrature splits)."""
-        pts = [0.0]
-        for u, w in self.intervals:
-            pts.extend((u, w))
-        if pts[-1] < 1.0:
-            pts.append(1.0)
-        return np.asarray(pts)
 
     def price_statistics(self) -> PriceStatistics:
         """Moments of the random price whose CDF is the allocation.
@@ -202,9 +188,6 @@ class PostedPrice:
 
     def buyer_surplus(self, v):
         return _blockwise(lambda vs: np.maximum(vs - self.price, 0.0) * (vs >= self.price), v)
-
-    def knots(self) -> np.ndarray:
-        return np.asarray([0.0, self.price, 1.0])
 
     def price_statistics(self) -> PriceStatistics:
         return PriceStatistics(self.price, 0.0, 0.0)

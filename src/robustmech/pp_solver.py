@@ -10,12 +10,13 @@ and the atoms themselves.
 On a regular reference the optimal price for fragility k is the lower end u
 of the single-interval iso-revenue cut [u, w] with w/u = (k+1)/k, so both
 searches are ``rs_solver.level_search`` over the cut level: for a given k,
-the level solves ln(w/u) = ln((k+1)/k); for a target tau, it solves
-rho_pp = u/(w - u) * int_u^w ccdf = tau, with p = u and k = u/(w - u).
-Other references (empirical, irregular, or a cut that splits) search log k
-directly, pricing each k by exact candidates, or by a 1,001-point array pass
-of rho_pp (the guard: rho_pp can have several local maxima in p) refined on
-the sign of its slope in p.
+it is the ``pi_star`` cut of log-ratio ln((k+1)/k); for a target tau, it
+solves rho_pp = u/(w - u) * int_u^w ccdf = tau, with p = u and k = u/(w - u),
+by Newton steps on its slope dlog_sum k (pi - w/(w - u) int_u^w ccdf).
+Other references (empirical, irregular, or a root cut that rounds to the
+tangency at pi0) search log k directly, pricing each k by exact candidates,
+or by a 1,001-point array pass of rho_pp (the guard: rho_pp can have several
+local maxima in p) refined on the sign of its slope in p.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .isorevenue import cut  # noqa: F401  (bench/spans.py patches this name)
 from .mechanisms import PostedPrice
 from .numerics import bisect_root, refine_crossing
 from .records import Record
-from .rs_solver import level_search
+from .rs_solver import _pi_star_cut, level_search
 
 __all__ = [
     "PPSolveReport",
@@ -74,24 +75,6 @@ def rho_pp(dist: ValuationDistribution, p: float, k: float) -> float:
     return k * dist.ccdf_integral(p, upper)
 
 
-def _regular_cut(dist: ValuationDistribution, excess):
-    """Interval (u, w) of the cut at the root of ``excess(u, w)``, and the
-    number of root-finder steps.
-
-    ``excess`` increases with the level; the empty cut at the tangency level
-    pi0 counts as +inf.  A split cut met on the way is read through its outer
-    ends.  Returns None when the cut at the root is not a single interval,
-    signalling that the quasi-concave characterization does not apply.
-    """
-    pi0, _ = max_posted_revenue(dist)
-
-    def on_cut(c) -> float:
-        return excess(c.intervals[0][0], c.intervals[-1][1]) if c.intervals else math.inf
-
-    c, res = level_search(dist, on_cut, math.log(pi0))
-    return (c.intervals[0], res.iterations if res else 0) if c.count == 1 else None
-
-
 def _optimal_price_scan(dist: ValuationDistribution, k: float) -> float:
     """Best price on a 1,001-point grid, refined at the sign change of the
     slope of rho_pp in p, (k+1) ccdf(min((1+1/k) p, 1)) - k ccdf(p), on the
@@ -127,11 +110,10 @@ def optimal_price_given_k(dist: ValuationDistribution, k: float) -> float:
                 best = min(best, (-float(revs[i]), float(cands[i])))
         return best[1]
     if dist.is_regular:
-        # price ratio w/u = (k+1)/k; the ratio falls to 1 at the tangency
-        target = math.log((k + 1.0) / k)
-        found = _regular_cut(dist, lambda u, w: target - math.log(w / u))
-        if found is not None:
-            return found[0][0]
+        # the cut whose price ratio w/u is (k+1)/k
+        c = _pi_star_cut(dist, 1.0 / math.log1p(1.0 / k))
+        if c.count == 1:
+            return c.intervals[0][0]
     return _optimal_price_scan(dist, k)
 
 
@@ -139,15 +121,30 @@ def solve_pp(dist: ValuationDistribution, tau: float) -> PPSolveReport:
     """Minimal fragility k with max_p rho_pp(p, k) = tau, and its price."""
     pi0, _ = max_posted_revenue(dist)
     check_target(tau, pi0)
-    found = (
-        _regular_cut(dist, lambda u, w: u / (w - u) * dist.ccdf_integral(u, w) - tau)
-        if dist.is_regular
-        else None
-    )
-    if found is not None:
-        (u, w), it = found
-        p, k_pp, path = u, u / (w - u), "regular"
+    c = None
+    if dist.is_regular:
+        # rho_pp at p = u and k = u/(w - u) is k int_u^w ccdf = k (gap + pi log_sum);
+        # with x ccdf(x) = pi at both ends the integral moves with the level as
+        # pi dlog_sum, and k as -u w dlog_sum / (w - u)^2; the empty cut at pi0 is +inf
+        def excess(c) -> float:
+            if not c.intervals:
+                return math.inf
+            u, w = c.intervals[0][0], c.intervals[-1][1]
+            return u / (w - u) * dist.ccdf_integral(u, w) - tau
+
+        def slope(c) -> float:
+            if not c.intervals:
+                return 0.0
+            u, w = c.intervals[0][0], c.intervals[-1][1]
+            return c.dlog_sum * u / (w - u) * (c.pi - w / (w - u) * (c.gap + c.pi * c.log_sum))
+
+        c, res = level_search(dist, excess, math.log(pi0), slope)
+    if c is not None and c.count == 1:
+        (u, w), = c.intervals
+        p, k_pp, it, path = u, u / (w - u), res.iterations if res else 0, "regular"
     else:
+        # an irregular reference, or the cut at the root rounds to the
+        # tangency at pi0
         def f(t: float) -> float:
             k = math.exp(t)
             return rho_pp(dist, optimal_price_given_k(dist, k), k) - tau

@@ -13,8 +13,9 @@ iso-revenue cut: with L(pi) = sum_j ln(w_j/u_j) over the cut intervals,
 so ``level_search`` solves rho(pi) = tau, as gap - (tau - pi) L = 0, and
 k* = 1/L(pi*).  When pi* underflows the floor level, the floor cut already
 covers the reference and k* = tau / int ccdf over it.  The optimal mechanism
-is the randomized log menu on the cut at pi*.  The PP regular path and the
-RO solver pick their levels with ``level_search`` too.
+is the randomized log menu on the cut at pi*.  The PP regular path, the
+PP price for a given k and the RO solver pick their levels with
+``level_search`` too.
 """
 
 from __future__ import annotations
@@ -64,20 +65,20 @@ def level_search(
     dist: ValuationDistribution,
     excess: Callable[[IsoRevenueCut], float],
     log_hi: float,
-    slope: Callable[[IsoRevenueCut], float] | None = None,
+    slope: Callable[[IsoRevenueCut], float],
 ) -> tuple[IsoRevenueCut, RootResult | None]:
     """Cut at the root of ``excess(cut(pi))``, and the search (None when
     ``excess`` is already nonnegative at the floor level, whose cut is then
     returned).  The search's ``iterations`` counts every level it cut after
     the floor.
 
-    ``excess`` is nondecreasing in the level and taken as +inf at ``log_hi``.
-    After the floor, the levels log_hi - 1, - 4, - 16, - 64 and - 256 are cut
-    down to the first with a negative excess (or the floor), and log(pi) is
-    searched between that level and the last one above it down to adjacent
-    floats, so the level keeps float resolution at every scale: by Newton
-    steps when ``slope(cut)`` gives d excess / d pi (about 9 cuts, floor and
-    probes included), else by ITP steps (about 15).
+    ``excess`` is nondecreasing in the level and taken as +inf at ``log_hi``;
+    ``slope(cut)`` is d excess / d pi.  After the floor, the levels
+    log_hi - 1, - 4, - 16, - 64 and - 256 are cut down to the first with a
+    negative excess (or the floor), and log(pi) is searched by Newton steps
+    between that level and the last one above it down to adjacent floats, so
+    the level keeps float resolution at every scale (about 9 cuts, floor and
+    probes included).
     """
     floor = cut(dist, math.exp(LOG_LEVEL_FLOOR))
     flo = excess(floor)
@@ -100,19 +101,16 @@ def level_search(
         # the slope in log(level), at the cut f(t) just made
         return last.pi * slope(last)
 
-    lo, hi, fhi, dflo = LOG_LEVEL_FLOOR, log_hi, math.inf, df(LOG_LEVEL_FLOOR) if slope else None
+    lo, hi, fhi, dflo = LOG_LEVEL_FLOOR, log_hi, math.inf, df(LOG_LEVEL_FLOOR)
     for step in _PROBE_STEPS:
         t = log_hi - step
         if t <= LOG_LEVEL_FLOOR:
             break
         e = f(t)
         if e < 0.0:
-            lo, flo, dflo = t, e, df(t) if slope else None
+            lo, flo, dflo = t, e, df(t)
             break
         hi, fhi = t, e
-    if not slope:
-        # ITP interpolating on a far finite end value costs cuts: it stays +inf
-        fhi, df = math.inf, None
     res = bisect_root(f, lo, hi, xtol=0.0, flo=flo, fhi=fhi, df=df, dflo=dflo)
     res = replace(res, iterations=cuts)
     level = math.exp(res.root)

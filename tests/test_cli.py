@@ -63,6 +63,14 @@ class TestSolveRs:
         assert code == 1
         assert err.startswith("error: malformed distribution spec")
 
+    @pytest.mark.parametrize(
+        "spec", ['{"kind":"power","alpha":true}', '{"kind":"uniform","junk":1}']
+    )
+    def test_strict_reference_spec(self, capsys, spec):
+        code, _, err = run_cli(capsys, "solve-rs", "--reference", spec, "--tau", "0.1")
+        assert code == 1
+        assert err.startswith("error: malformed distribution spec")
+
     def test_byte_identical_reruns(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for path in (a, b):

@@ -387,6 +387,16 @@ class TestJson:
             '{"kind":"mixture","components":5,"weights":[1]}',
             '{"kind":"mixture","components":[{"kind":"uniform"}],"weights":1}',
             '{"kind":"empirical","atoms":[[0.5]]}',
+            # a bool or a numeric string is not a number, and a typo is not ignored
+            '{"kind":"power","alpha":true}',
+            '{"kind":"beta","alpha":"2","beta":"5"}',
+            '{"kind":"empirical","atoms":[["0.5",1]]}',
+            '{"kind":"empirical","atoms":[[0.5,true]]}',
+            '{"kind":"mixture","components":[{"kind":"uniform"}],"weights":[true]}',
+            '{"kind":"mixture","components":["{\\"kind\\":\\"uniform\\"}"],"weights":[1]}',
+            '{"kind":"uniform","junk":1}',
+            '{"kind":"beta","alpha":2,"beta":5,"gamma":1}',
+            '{"kind":["uniform"]}',
         ],
     )
     def test_malformed_fields(self, spec):

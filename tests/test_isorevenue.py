@@ -153,6 +153,34 @@ class TestCrossings:
         assert central == pytest.approx(-cut(beta25, pi).log_sum, rel=1e-7)
 
 
+class TestCutsBelowPi0:
+    """Levels between the best grid value and pi0 cross only on the hump
+    around the argmax, between two grid points."""
+
+    REGULAR = {
+        "uniform": Uniform(),
+        "beta2_5": Beta(2.0, 5.0),
+        "power3": Power(3.0),
+        "texp1": TruncatedExponential(1.0),
+    }
+
+    @pytest.mark.parametrize("rel", [1e-11, 1e-13])
+    @pytest.mark.parametrize("name", REGULAR)
+    def test_one_interval_around_the_argmax(self, name, rel):
+        dist = self.REGULAR[name]
+        pi0, p = max_posted_revenue(dist)
+        (u, w), = cut(dist, pi0 * (1.0 - rel)).intervals
+        assert u < p < w
+
+    @pytest.mark.parametrize("rel", [1e-11, 1e-13])
+    def test_uniform_ends_closed_form(self, uniform, rel):
+        pi = 0.25 * (1.0 - rel)
+        (u, w), = cut(uniform, pi).intervals
+        half = math.sqrt(0.25 - pi)
+        assert u == pytest.approx(0.5 - half, abs=1e-9)
+        assert w == pytest.approx(0.5 + half, abs=1e-9)
+
+
 class TestEmpiricalCut:
     def test_branch_low(self, two_point):
         c = cut(two_point, 0.1)

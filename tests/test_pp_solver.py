@@ -9,6 +9,9 @@ from robustmech import (
     Empirical,
     InfeasibleTargetError,
     Mixture,
+    Power,
+    TruncatedExponential,
+    Uniform,
     max_posted_revenue,
     optimal_price_given_k,
     rho_pp,
@@ -141,6 +144,38 @@ class TestSolvePP:
         for dist, tau in ((uniform, 0.1), (uniform, 0.2), (two_point, 0.18),
                           (beta25, 0.08)):
             assert solve_pp(dist, tau).k_pp >= solve(dist, tau).k_star - 1e-9
+
+
+class TestNearTangency:
+    """Targets and fragilities whose cut sits within 1e-6 of pi0."""
+
+    @pytest.mark.parametrize(
+        "dist",
+        [Uniform(), Beta(2.0, 5.0), Power(3.0), TruncatedExponential(1.0)],
+        ids=["uniform", "beta2_5", "power3", "texp1"],
+    )
+    def test_regular_path_hits_target(self, dist):
+        tau = (1.0 - 1e-6) * max_posted_revenue(dist)[0]
+        rep = solve_pp(dist, tau)
+        assert rep.path == "regular"
+        assert abs(rep.residual) <= 1e-9 * tau
+
+    def test_uniform_fragility_closed_form(self, uniform):
+        tau = 0.25 * (1.0 - 1e-6)
+        assert solve_pp(uniform, tau).k_pp == pytest.approx(
+            2.0 * tau / (1.0 - 4.0 * tau), rel=1e-4
+        )
+
+    @pytest.mark.parametrize("k", [1e5, 1e6, 1e7])
+    def test_uniform_price_at_large_fragility(self, uniform, k):
+        assert optimal_price_given_k(uniform, k) == pytest.approx(k / (2.0 * k + 1.0), rel=1e-9)
+
+    def test_level_rounding_to_the_tangency_falls_back_to_the_scan(self):
+        # the root cut is narrower than the tangency width, so it is empty
+        dist = Beta(1.0, 3.0)
+        tau = max_posted_revenue(dist)[0] - 1.01e-9
+        rep = solve_pp(dist, tau)
+        assert abs(rep.residual) <= 1e-7 * tau
 
 
 class TestTwoPointClosedForm:

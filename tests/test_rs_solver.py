@@ -8,6 +8,8 @@ from robustmech import (
     Beta,
     InfeasibleTargetError,
     Mixture,
+    Power,
+    TruncatedExponential,
     Uniform,
     expected_revenue,
     fragility_adjusted_revenue,
@@ -290,6 +292,23 @@ class TestLevelSearch:
         r = radius_for_target(dist, frac * max_posted_revenue(dist)[0])
         solve_ro(dist, r)
         assert 2 < len(cut_levels) <= 14
+
+    @pytest.mark.parametrize("frac", [0.05, 0.45, 0.95])
+    @pytest.mark.parametrize(
+        "dist",
+        [
+            pytest.param(Uniform(), id="uniform"),
+            pytest.param(Beta(2.0, 5.0), id="beta25"),
+            pytest.param(Power(3.0), id="power3"),
+            pytest.param(TruncatedExponential(1.0), id="texp1"),
+        ],
+    )
+    def test_pp_cuts_per_solve(self, dist, frac, cut_levels):
+        # the regular posted-price path: Newton steps take 8-16 cuts, ITP
+        # steps on the cut's outer ends took 12-37
+        rep = solve_pp(dist, frac * max_posted_revenue(dist)[0])
+        assert rep.path == "regular"
+        assert 2 < len(cut_levels) <= 18
 
     @pytest.mark.parametrize(
         "search",
