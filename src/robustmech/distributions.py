@@ -318,9 +318,13 @@ class Beta(ValuationDistribution):
     def _ccdf(self, xs):
         a, b = self.alpha, self.beta
         if xs.ndim:
+            # each half with scalar shapes: no full-size arrays of shapes and
+            # arguments beside the output
             up = xs >= 0.5
-            i = betainc(np.where(up, b, a), np.where(up, a, b), np.where(up, 1.0 - xs, xs))
-            return np.where(up, i, 1.0 - i)
+            out = np.empty(xs.shape)
+            out[~up] = 1.0 - betainc(a, b, xs[~up])
+            out[up] = betainc(b, a, 1.0 - xs[up])
+            return out
         # a float64 argument costs betainc less than a float or a 0-d array
         x = float(xs)
         return betainc(b, a, np.float64(1.0 - x)) if x >= 0.5 else 1.0 - betainc(a, b, xs)
@@ -484,6 +488,10 @@ def _polish(p, q, z, w, lo, hi):
     return z
 
 
+#: draws per block of ``Mixture.sample``: 1 MB of uniforms
+_MIXTURE_BLOCK = 2**17
+
+
 @dataclass(frozen=True)
 class Mixture(ValuationDistribution):
     """Finite mixture of continuous component distributions."""
@@ -524,15 +532,23 @@ class Mixture(ValuationDistribution):
         return tuple(sorted(set(pts)))
 
     def sample(self, n, rng):
-        # pick each draw's component, then invert that component's CDF
+        # pick each draw's component from n uniforms, then invert that
+        # component's CDF at n more; both passes go block by block, which
+        # draws the same stream as whole arrays would, so only the component
+        # indices (a byte each, for up to 255 components) and the output span n
         check_count(n, 0, "sample size")
-        which = np.searchsorted(np.cumsum(self.weights), rng.random(n), side="right")
-        which = np.minimum(which, len(self.components) - 1)
-        us = rng.random(n)
+        cum, last = np.cumsum(self.weights), len(self.components) - 1
+        which = np.empty(n, dtype=np.uint8 if last < 255 else np.intp)
+        for s in range(0, n, _MIXTURE_BLOCK):
+            u = rng.random(min(_MIXTURE_BLOCK, n - s))
+            which[s : s + u.size] = np.minimum(np.searchsorted(cum, u, side="right"), last)
         out = np.empty(n)
-        for j, c in enumerate(self.components):
-            sel = which == j
-            out[sel] = c._quantile(us[sel])
+        for s in range(0, n, _MIXTURE_BLOCK):
+            us = rng.random(min(_MIXTURE_BLOCK, n - s))
+            block, got = which[s : s + us.size], out[s : s + us.size]
+            for j, c in enumerate(self.components):
+                sel = block == j
+                got[sel] = c._quantile(us[sel])
         return out
 
     def to_json(self):

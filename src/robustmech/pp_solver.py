@@ -16,13 +16,19 @@ by Newton steps on its slope dlog_sum k (pi - w/(w - u) int_u^w ccdf).
 Other references (empirical, irregular, or a root cut that rounds to the
 tangency at pi0) search log k directly, pricing each k by exact candidates,
 or by a 1,001-point array pass of rho_pp (the guard: rho_pp can have several
-local maxima in p) refined on the sign of its slope in p.
+local maxima in p) whose CCDF integrals from 0 to the grid prices are cached
+per reference, refined by Newton steps on the sign change of its slope in p.
+The search starts from its true end values, f < 0 at k = tau/mean and
+f >= 0 at k = tau/(pi0 - tau), returns the top end when f rounds to <= 0
+there, and takes Newton steps in log k on the envelope slope of
+max_p rho_pp, rho - p k/(k+1) ccdf(p) at the best price p.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -30,7 +36,7 @@ from .distributions import Empirical, ValuationDistribution, max_posted_revenue
 from .errors import DomainError, check_target
 from .isorevenue import cut  # noqa: F401  (bench/spans.py patches this name)
 from .mechanisms import PostedPrice
-from .numerics import bisect_root, refine_crossing
+from .numerics import bisect_root
 from .records import Record
 from .rs_solver import _pi_star_cut, level_search
 
@@ -75,22 +81,67 @@ def rho_pp(dist: ValuationDistribution, p: float, k: float) -> float:
     return k * dist.ccdf_integral(p, upper)
 
 
+#: the fallback's price grid; the CCDF integrals from 0 to its prices are
+#: cached per reference, so each k integrates only up to (1 + 1/k) p
+_PRICE_GRID = np.arange(1001) / 1000.0
+_PRICE_GRID.setflags(write=False)
+
+
+@lru_cache(maxsize=64)
+def _grid_integrals(dist: ValuationDistribution) -> np.ndarray:
+    """Read-only int_0^p ccdf at every price p of the fallback's grid."""
+    out = dist._integrals(0.0, _PRICE_GRID)
+    out.setflags(write=False)
+    return out
+
+
+def _price_slope(dist: ValuationDistribution, p: float, k: float) -> float:
+    """Slope of rho_pp in p: (k+1) ccdf(U) - k ccdf(p), U = min((1+1/k) p, 1)."""
+    upper = min((1.0 + 1.0 / k) * p, 1.0)
+    return float((k + 1.0) * dist._ccdf(np.asarray(upper)) - k * dist._ccdf(np.asarray(p)))
+
+
+def _price_slope_dp(dist: ValuationDistribution, p: float, k: float) -> float:
+    """Derivative in p of ``_price_slope``, at p in (0, 1): k pdf(p) -
+    ((k+1)^2/k) pdf(U) while U = (1+1/k) p < 1, and k pdf(p) once U sits at 1."""
+    upper = (1.0 + 1.0 / k) * p
+    d = k * dist._pdf(p)
+    return d - (k + 1.0) ** 2 / k * dist._pdf(upper) if upper < 1.0 else d
+
+
+def _envelope_slope(dist: ValuationDistribution, p: float, k: float, rho: float) -> float:
+    """Slope in log k of max_p rho_pp(p, k), at its best price p, where rho_pp = rho.
+
+    Along p = k/(k+1) U with U fixed, rho_pp = k int_p^U ccdf moves with log k
+    as rho - p k/(k+1) ccdf(p).  That is the slope of the maximum wherever p is
+    stationary, (k+1) ccdf(U) = k ccdf(p) (the envelope theorem), and on an
+    empirical reference, whose best price is the candidate k/(k+1) x of an
+    atom x = U and follows this path."""
+    return rho - p * k / (k + 1.0) * float(dist._ccdf(np.asarray(p)))
+
+
 def _optimal_price_scan(dist: ValuationDistribution, k: float) -> float:
-    """Best price on a 1,001-point grid, refined at the sign change of the
-    slope of rho_pp in p, (k+1) ccdf(min((1+1/k) p, 1)) - k ccdf(p), on the
-    grid cells either side of it.  The grid is the guard against local maxima."""
-    ps = np.arange(1001) / 1000.0
-    i = int(np.argmax(k * dist._integrals(ps, np.minimum((1.0 + 1.0 / k) * ps, 1.0))))
-
-    def slope(p: float) -> float:
-        upper = dist._ccdf(np.asarray(min((1.0 + 1.0 / k) * p, 1.0)))
-        return float((k + 1.0) * upper - k * dist._ccdf(np.asarray(p)))
-
+    """Best price on a 1,001-point grid, refined by Newton steps on the sign
+    change of ``_price_slope`` on the grid cells either side of it.  The grid
+    is the guard against local maxima of rho_pp in p."""
+    ps = _PRICE_GRID
+    ups = np.minimum((1.0 + 1.0 / k) * ps, 1.0)
+    i = int(np.argmax(k * (dist._integrals(0.0, ups) - _grid_integrals(dist))))
     lo, hi = float(ps[max(i - 1, 0)]), float(ps[min(i + 1, len(ps) - 1)])
-    flo, fhi = slope(lo), slope(hi)
+    flo, fhi = _price_slope(dist, lo, k), _price_slope(dist, hi, k)
     if not flo > 0.0 > fhi:
         return float(ps[i])
-    return refine_crossing(slope, lo, hi, flo=flo, fhi=fhi)
+    # the ends are not evaluated again, so neither is a density at 0 or 1
+    return bisect_root(
+        partial(_price_slope, dist, k=k),
+        lo,
+        hi,
+        xtol=0.0,
+        max_iter=1200,
+        flo=flo,
+        fhi=fhi,
+        df=partial(_price_slope_dp, dist, k=k),
+    ).root
 
 
 def optimal_price_given_k(dist: ValuationDistribution, k: float) -> float:
@@ -142,27 +193,40 @@ def solve_pp(dist: ValuationDistribution, tau: float) -> PPSolveReport:
     if c is not None and c.count == 1:
         (u, w), = c.intervals
         p, k_pp, it, path = u, u / (w - u), res.iterations if res else 0, "regular"
+        rho = rho_pp(dist, p, k_pp)
     else:
         # an irregular reference, or the cut at the root rounds to the
-        # tangency at pi0
-        def f(t: float) -> float:
-            k = math.exp(t)
-            return rho_pp(dist, optimal_price_given_k(dist, k), k) - tau
+        # tangency at pi0: search log k, which bounds the relative error of k
+        # at every scale; each evaluation keeps its k, price and revenue
+        evals: list[tuple[float, float, float]] = []
 
-        # rho_pp*(k) <= k * mean, and pricing at k/(k+1) * p0 earns
-        # k/(k+1) * pi0, so the root lies in [tau/mean, tau/(pi0 - tau)];
-        # searching log k bounds the relative error of k at every scale
-        res = bisect_root(
-            f,
-            math.log(tau / dist.mean()),
-            math.log(tau / (pi0 - tau)),
-            flo=-math.inf,
-            fhi=math.inf,
-        )
-        k_pp, it = math.exp(res.root), res.iterations
-        p = optimal_price_given_k(dist, k_pp)
+        def price(k: float) -> float:
+            p = optimal_price_given_k(dist, k)
+            evals.append((k, p, rho_pp(dist, p, k)))
+            return evals[-1][2] - tau
+
+        def f(t: float) -> float:
+            return price(math.exp(t))
+
+        def df(t: float) -> float:
+            k, p, rho = evals[-1]
+            return _envelope_slope(dist, p, k, rho)
+
+        # pricing at k/(k+1) * p0 earns at least k/(k+1) * pi0, so f >= 0 at
+        # k = tau/(pi0 - tau); rho_pp*(k) < k * mean, so f < 0 at tau/mean.
+        # When f rounds to <= 0 at the top, the root is that end (a two-atom
+        # reference's high branch)
+        k_hi = tau / (pi0 - tau)
+        f_hi = price(k_hi)
+        if f_hi > 0.0:
+            t_lo = math.log(tau / dist.mean())
+            f_lo = f(t_lo)
+            bisect_root(f, t_lo, math.log(k_hi), flo=f_lo, fhi=f_hi, df=df, dflo=df(t_lo))
+        # f is increasing, so the evaluation nearest the target is an end of
+        # the last bracket, within the 1e-12 stop of the root
+        k_pp, p, rho = min(evals, key=lambda e: abs(e[2] - tau))
+        it = len(evals)
         path = "empirical" if isinstance(dist, Empirical) else "scan"
-    rho = rho_pp(dist, p, k_pp)
     return PPSolveReport(
         tau=tau,
         k_pp=k_pp,

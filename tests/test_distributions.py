@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -283,6 +284,39 @@ class TestQuantile:
         a = beta25.sample(100, np.random.default_rng(7))
         b = beta25.sample(100, np.random.default_rng(7))
         assert np.array_equal(a, b)
+
+
+class TestMixtureSample:
+    MIXTURE = Mixture((Beta(2.0, 10.0), Beta(10.0, 2.0)), (0.85, 0.15))
+
+    @staticmethod
+    def whole_arrays(mixture, n, rng):
+        # every component index from one array of n uniforms, then every value
+        which = np.searchsorted(np.cumsum(mixture.weights), rng.random(n), side="right")
+        which = np.minimum(which, len(mixture.components) - 1)
+        us = rng.random(n)
+        out = np.empty(n)
+        for j, c in enumerate(mixture.components):
+            sel = which == j
+            out[sel] = c._quantile(us[sel])
+        return out
+
+    @pytest.mark.parametrize("n", [1, 2**17 + 1, 300_000])
+    def test_blocks_draw_what_whole_arrays_draw(self, n):
+        got = self.MIXTURE.sample(n, np.random.default_rng(9))
+        want = self.whole_arrays(self.MIXTURE, n, np.random.default_rng(9))
+        assert np.array_equal(got, want)
+
+    def test_a_million_draws_peak_under_20_mb(self):
+        # 8 MB of output and 1 MB of component indices, plus one block's scratch
+        self.MIXTURE.sample(1_000, np.random.default_rng(0))  # fill the caches
+        tracemalloc.start()
+        try:
+            self.MIXTURE.sample(1_000_000, np.random.default_rng(5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20e6
 
 
 class TestEmpiricalConstruction:

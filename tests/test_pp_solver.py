@@ -12,8 +12,10 @@ from robustmech import (
     Power,
     TruncatedExponential,
     Uniform,
+    ValuationDistribution,
     max_posted_revenue,
     optimal_price_given_k,
+    pp_solver,
     rho_pp,
     solve,
     solve_pp,
@@ -21,6 +23,22 @@ from robustmech import (
 )
 
 IRREGULAR = Mixture((Beta(10.0, 2.0), Beta(2.0, 10.0)), (0.9, 0.1))
+BIMODAL = Mixture((Beta(2.0, 10.0), Beta(10.0, 2.0)), (0.85, 0.15))
+#: the benchmark's jittered targets (seeds 401, 1 and 7) and the nominal ones,
+#: as fractions of pi0
+TARGET_FRACS = (
+    0.0499976864092151, 0.4493491712913078, 0.9555992016333149,
+    0.049634364244112404, 0.4523739715707895, 0.9499132666547467,
+    0.049650849173924504, 0.4513584102573587, 0.9418762894466832,
+    0.05, 0.45, 0.95,
+)
+
+
+class QuadraticCCDF(ValuationDistribution):
+    """CCDF 1 - x^2 and nothing else: the base-class density and kernel."""
+
+    def _ccdf(self, xs):
+        return 1.0 - xs * xs
 
 
 class TestRhoPP:
@@ -178,6 +196,93 @@ class TestNearTangency:
         assert abs(rep.residual) <= 1e-7 * tau
 
 
+def _count_prices(monkeypatch):
+    """Count the calls of ``optimal_price_given_k`` that ``solve_pp`` makes."""
+    calls = []
+    price = pp_solver.optimal_price_given_k
+
+    def counted(dist, k):
+        calls.append(k)
+        return price(dist, k)
+
+    monkeypatch.setattr(pp_solver, "optimal_price_given_k", counted)
+    return calls
+
+
+def _best_revenue(dist, t):
+    k = math.exp(t)
+    return rho_pp(dist, optimal_price_given_k(dist, k), k)
+
+
+class TestFallbackSearch:
+    """The log-k search for references with no single-interval cut."""
+
+    @pytest.mark.parametrize("frac", TARGET_FRACS)
+    @pytest.mark.parametrize("dist", [Beta(0.5, 0.5), BIMODAL], ids=["beta.5_.5", "bimodal"])
+    def test_prices_at_most_twelve_k(self, dist, frac, monkeypatch):
+        # the two ends included
+        calls = _count_prices(monkeypatch)
+        tau = frac * max_posted_revenue(dist)[0]
+        rep = solve_pp(dist, tau)
+        assert rep.path == "scan"
+        assert len(calls) <= 12
+        assert rep.iterations == len(calls)
+        assert abs(rep.residual) <= 5e-13 * tau
+
+    @pytest.mark.parametrize("tau", [0.2, 0.45 * 0.35, 0.95 * 0.35, 0.9556 * 0.35])
+    def test_two_point_high_branch_prices_the_top_end(self, two_point, tau, monkeypatch):
+        # the root is k = tau/(pi0 - tau), the top of the bracket
+        calls = _count_prices(monkeypatch)
+        rep = solve_pp(two_point, tau)
+        assert rep.path == "empirical"
+        assert len(calls) <= 2
+        assert rep.iterations == len(calls)
+        assert rep.k_pp == pytest.approx(tau / (0.35 - tau), rel=1e-15)
+
+    @pytest.mark.parametrize("k", [0.05, 0.42, 2.0, 9.0])
+    @pytest.mark.parametrize(
+        "dist", [Beta(0.5, 0.5), BIMODAL, QuadraticCCDF()], ids=["beta.5_.5", "bimodal", "quadratic"]
+    )
+    def test_envelope_slope_is_the_derivative_in_log_k(self, dist, k):
+        t, h = math.log(k), 1e-5
+        p = optimal_price_given_k(dist, k)
+        slope = pp_solver._envelope_slope(dist, p, k, rho_pp(dist, p, k))
+        central = (_best_revenue(dist, t + h) - _best_revenue(dist, t - h)) / (2.0 * h)
+        assert slope == pytest.approx(central, rel=1e-6)
+
+    @pytest.mark.parametrize("k", [0.3, 1.0, 4.0])
+    def test_envelope_slope_on_an_empirical_reference(self, k):
+        # the best price k/(k+1) x of an atom x moves with k; one-sided
+        # differences, since the best atom changes at some k
+        dist = Empirical.from_samples(np.random.default_rng(7).beta(2.0, 5.0, 300))
+        t, h = math.log(k), 1e-7
+        p = optimal_price_given_k(dist, k)
+        slope = pp_solver._envelope_slope(dist, p, k, rho_pp(dist, p, k))
+        base = _best_revenue(dist, t)
+        right = (_best_revenue(dist, t + h) - base) / h
+        left = (base - _best_revenue(dist, t - h)) / h
+        assert min(abs(slope - right), abs(slope - left)) <= 1e-6 * slope
+
+    @pytest.mark.parametrize(
+        "p,k", [(0.2, 0.5), (0.3, 2.0), (0.6, 0.7), (0.45, 0.5), (0.9, 4.0)]
+    )
+    @pytest.mark.parametrize(
+        "dist", [Beta(0.5, 0.5), BIMODAL, QuadraticCCDF()], ids=["beta.5_.5", "bimodal", "quadratic"]
+    )
+    def test_price_slope_derivative(self, dist, p, k):
+        # (0.45, 0.5) and (0.9, 4.0) put (1 + 1/k) p above 1, where that end stays put
+        h = 1e-6
+        slope = pp_solver._price_slope_dp(dist, p, k)
+        central = (pp_solver._price_slope(dist, p + h, k) - pp_solver._price_slope(dist, p - h, k)) / (2 * h)
+        assert slope == pytest.approx(central, rel=1e-6)
+
+    def test_base_kernel_broadcasts_a_scalar_lower_end(self):
+        ps = np.array([0.0, 0.25, 0.5, 1.0])
+        got = QuadraticCCDF()._integrals(0.0, ps)
+        assert got.shape == ps.shape
+        assert got == pytest.approx(ps - ps**3 / 3.0, rel=1e-14, abs=1e-300)
+
+
 class TestTwoPointClosedForm:
     def test_high_target_branch(self):
         rep = solve_pp_two_point(0.3, 0.5, 0.7, 0.5, 0.2)
@@ -206,6 +311,22 @@ class TestTwoPointClosedForm:
         generic = solve_pp(Empirical(((v1, a1), (v2, 1.0 - a1))), tau)
         assert closed.k_pp == pytest.approx(generic.k_pp, abs=1e-6)
         assert closed.p_pp == pytest.approx(generic.p_pp, abs=1e-6)
+
+    def test_random_references_match_the_generic_solver(self):
+        rng = np.random.default_rng(1800)
+        worst = 0.0
+        for _ in range(1800):
+            v1, v2 = np.sort(rng.uniform(0.01, 1.0, 2)).tolist()
+            a1, frac = rng.uniform(0.01, 0.99, 2).tolist()
+            tau = frac * max(v1, (1.0 - a1) * v2)
+            closed = solve_pp_two_point(v1, a1, v2, 1.0 - a1, tau)
+            generic = solve_pp(Empirical(((v1, a1), (v2, 1.0 - a1))), tau)
+            worst = max(
+                worst,
+                abs(generic.k_pp - closed.k_pp) / closed.k_pp,
+                abs(generic.p_pp - closed.p_pp) / closed.p_pp,
+            )
+        assert worst <= 2e-12
 
     def test_branch_boundary_warning(self):
         rep = solve_pp_two_point(0.3, 0.5, 0.7, 0.5, 0.15)
