@@ -27,7 +27,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .errors import DomainError, any_outside, check_count
-from .numerics import adaptive_simpson, refine_crossing
+from .numerics import adaptive_simpson, bisect_root, refine_crossing
 
 __all__ = [
     "ValuationDistribution",
@@ -287,13 +287,17 @@ class Beta(ValuationDistribution):
     with 1 - x exact, above it.  The density uses ``math``, with log B(alpha,
     beta) from ``math.lgamma`` once per shape.
 
-    The quantile takes about one ``betainc`` per draw: it starts from a cached
-    table of ``betaincinv`` knots (linear in each cell, the power-law tail in
-    the first), takes one Halley step on log I(alpha, beta, x) = log u
-    against log x, and polishes the few draws that step moved by more than
-    1e-5 relative, bracketing any that still move.  Above u = 1/2 it solves
-    I(beta, alpha, y) = 1 - u in y = 1 - x instead, so that each draw keeps
-    its precision relative to the nearer end of [0, 1] (see ``_beta_knots``).
+    The quantile reads most draws off a cached table of quintic polynomials,
+    one per cell between ``betaincinv`` knots, built once per shape and
+    certified cell by cell against the kernel: no ``betainc`` for those.
+    The kernel solves the rest (the power-law tails and the cells that miss
+    1e-14), with about one ``betainc`` each: it starts from the knots
+    (linear in each cell, the power-law tail in the first), takes one Halley
+    step on log I(alpha, beta, x) = log u against log x, and polishes the few
+    draws that step moved by more than 1e-5 relative, bracketing any that
+    still move.  Above u = 1/2 both solve I(beta, alpha, y) = 1 - u in
+    y = 1 - x instead, so that each draw keeps its precision relative to the
+    nearer end of [0, 1] (see ``_beta_knots``).
     """
 
     alpha: float
@@ -362,13 +366,17 @@ _QUANTILE_BLOCK = 16_384
 _HALLEY_RTOL = 1e-5
 #: Halley steps a draw may take after its first before it is bracketed
 _HALLEY_STEPS = 6
+#: a table cell is certified when its interpolant is this close to the kernel,
+#: relative to the nearer end of [0, 1], at the quarter points of the cell
+_TABLE_RTOL = 1e-14
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 
 
 @lru_cache(maxsize=64)
 def _beta_knots(a: float, b: float):
-    """The split and quantile knots of Beta(a, b), built once per shape.
+    """The split, each side's quantile knots and the certified quintic table
+    of Beta(a, b), built once per shape (about 57 KB).
 
     Draws with u <= split solve I(a, b, x) = u, the others I(b, a, y) = 1 - u
     in y = 1 - x, where 1 - u is exact.  The split is u = 1/2, moved up to
@@ -376,31 +384,109 @@ def _beta_knots(a: float, b: float):
     above that x does x = 1 - y keep 1e-13 relative precision (half an ulp of
     y is below 6e-14 x), while below it, where that mass sits, I - u pins x
     down.  Each side's knots are ``betaincinv`` at w = k / 1024, up to its
-    split.
+    split.  The table holds the coefficients of the lower side's cells, then
+    the upper side's (see ``_cell_coefficients``).
     """
     split = max(0.5, float(betainc(a, b, 2.0**-10)))
     ws = np.arange(_QUANTILE_CELLS + 1) / _QUANTILE_CELLS
     lower = betaincinv(a, b, ws[: math.ceil(split * _QUANTILE_CELLS) + 1])
     upper = betaincinv(b, a, ws[: max(math.ceil((1.0 - split) * _QUANTILE_CELLS), 1) + 1])
-    for t in (lower, upper):
+    table = np.hstack((_cell_coefficients(a, b, lower), _cell_coefficients(b, a, upper)))
+    for t in (lower, upper, table):
         t.flags.writeable = False
-    return split, lower, upper
+    return split, lower, upper, table
+
+
+def _cell_coefficients(p: float, q: float, knots: np.ndarray) -> np.ndarray:
+    """Per knot cell, the coefficients c0..c5 (a column each) of the quintic
+    Hermite interpolant of z(w), the root of I(p, q, z) = w, in t = 1024 w - k.
+
+    The interpolant matches the knots, z' = 1 / pdf(z) and z'' = -(d log
+    pdf / dz) z'**2 at both ends of the cell, with the closed-form density of
+    ``_halley_step``, as in Derflinger, Hoermann and Leydold's PINV (ACM
+    TOMACS 2010).  A cell is certified when its coefficients are finite and
+    the interpolant at t = 1/4, 1/2 and 3/4 is within ``_TABLE_RTOL`` of
+    ``_lower_quantile``, relative to the nearer end of [0, 1]; never the
+    first, where the power-law tail holds: its knot z = 0 gives z' or z''
+    no finite value.  The column of a cell that is not certified is NaN, so
+    its draws come out NaN.
+    """
+    with np.errstate(all="ignore"):
+        h = 1.0 / _QUANTILE_CELLS
+        # h z' and h**2 z'' at each knot
+        v = h * np.exp(betaln(p, q) - (p - 1.0) * np.log(knots) - (q - 1.0) * np.log1p(-knots))
+        acc = ((q - 1.0) / (1.0 - knots) - (p - 1.0) / knots) * v * v
+        z0, z1, v0, v1, a0, a1 = knots[:-1], knots[1:], v[:-1], v[1:], acc[:-1], acc[1:]
+        d = z1 - z0
+        coef = np.stack(
+            (
+                z0,
+                v0,
+                0.5 * a0,
+                10.0 * d - 6.0 * v0 - 4.0 * v1 - 1.5 * a0 + 0.5 * a1,
+                -15.0 * d + 8.0 * v0 + 7.0 * v1 + 1.5 * a0 - a1,
+                6.0 * d - 3.0 * v0 - 3.0 * v1 - 0.5 * a0 + 0.5 * a1,
+            )
+        )
+        ok = np.isfinite(coef).all(axis=0)
+        ts, cells = (0.25, 0.5, 0.75), np.flatnonzero(ok)
+        k, t = np.repeat(cells, len(ts)), np.tile(ts, cells.size)
+        got = _horner(coef, k, t)
+        want = _lower_quantile(p, q, (k + t) / _QUANTILE_CELLS, knots)
+        close = np.abs(got - want) <= _TABLE_RTOL * np.minimum(want, 1.0 - want)
+        ok[ok] = close.reshape(-1, len(ts)).all(axis=1)
+        coef[:, ~ok] = np.nan
+    return coef
+
+
+def _horner(coef: np.ndarray, k: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The polynomials of the table's cells k at t, by Horner's rule."""
+    z = coef[5].take(k)
+    for c in coef[4::-1]:
+        z *= t
+        z += c.take(k)
+    return z
 
 
 def _beta_quantile(a: float, b: float, us: np.ndarray) -> np.ndarray:
     """Q(u) of Beta(a, b) for u in [0, 1], each side of the split solved from
-    its own end (see ``_beta_knots``), in blocks of ``_QUANTILE_BLOCK`` draws
-    so that the kernel's scratch arrays stay small beside its output."""
-    split, lower, upper = _beta_knots(a, b)
+    its own end (see ``_beta_knots``).
+
+    Draws in certified cells take the table's polynomial, in blocks of
+    ``_QUANTILE_BLOCK`` draws so that the scratch arrays stay small beside
+    the output.  (A lower draw at the end of the lower side's last cell
+    lands in the upper side's first, which is not certified.)  The other
+    draws are gathered across all blocks and solved by the kernel,
+    ``_lower_quantile``, in blocks of the same size: a draw's value depends
+    on its own u alone.
+    """
+    split, lower, upper, table = _beta_knots(a, b)
     out = np.empty_like(us)
     flat_us, flat_out = us.reshape(-1), out.reshape(-1)
+    rest = [np.empty(0, dtype=np.intp)]
     for start in range(0, flat_us.size, _QUANTILE_BLOCK):
         u = flat_us[start : start + _QUANTILE_BLOCK]
+        high = u > split
+        # |high - u| is w, u on the lower side and 1 - u (exact) on the upper,
+        # and |high - z| is x from the side's root z in the same way
+        pos = np.abs(high - u)
+        pos *= _QUANTILE_CELLS
+        k = pos.astype(np.intp)
+        pos -= k
+        k += high * (len(lower) - 1)
         x = flat_out[start : start + _QUANTILE_BLOCK]
+        np.abs(high - _horner(table, k, pos), out=x)
+        rest.append(start + np.flatnonzero(np.isnan(x)))
+    rest = np.concatenate(rest)
+    for start in range(0, rest.size, _QUANTILE_BLOCK):
+        idx = rest[start : start + _QUANTILE_BLOCK]
+        u = flat_us[idx]
+        x = np.empty_like(u)
         low = u <= split
         x[low] = _lower_quantile(a, b, u[low], lower)
         high = ~low
         x[high] = 1.0 - _lower_quantile(b, a, 1.0 - u[high], upper)
+        flat_out[idx] = x
     return out
 
 
@@ -782,7 +868,8 @@ def _step_crossings(p, p0, breaks) -> list[float]:
 
     Between consecutive breakpoints the empirical CCDF is constant and the
     other one nonincreasing, so the difference is monotone there: a segment
-    holds a crossing exactly when the signs at its two ends differ.
+    holds a crossing exactly when the signs at its two ends differ.  Each is
+    refined by Newton steps on the other side's density.
     """
     a, b = breaks[:-1], breaks[1:]
     keep = b - a > 1e-15
@@ -797,9 +884,14 @@ def _step_crossings(p, p0, breaks) -> list[float]:
         def diff(x, lv=float(level[j])):
             return sign * (lv - float(other._ccdf(np.asarray(x))))
 
-        crossings.append(
-            refine_crossing(diff, float(a[j]), float(b[j]), flo=float(d_a[j]), fhi=float(d_b[j]))
+        def slope(x):
+            return sign * other._pdf(x)
+
+        res = bisect_root(
+            diff, float(a[j]), float(b[j]), xtol=0.0, max_iter=1200,
+            flo=float(d_a[j]), fhi=float(d_b[j]), df=slope,
         )
+        crossings.append(res.root)
     return crossings
 
 

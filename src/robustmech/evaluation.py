@@ -101,8 +101,9 @@ def expected_revenue(
 
     ``monte_carlo`` averages the payment over ``p.sample(mc_n, rng)`` with
     ``rng = default_rng(seed)``: draws Q(U) from the closed-form quantile of
-    each family; a Beta law (alone or in a mixture) inverts its CDF from a
-    cached knot table and one Halley step per draw.
+    each family; a Beta law (alone or in a mixture) reads most draws off a
+    cached table of certified quintic polynomials and inverts its CDF by
+    Halley steps for the rest.
     """
     if method == "quadrature":
         value = _exact_expected_revenue(mech, p)

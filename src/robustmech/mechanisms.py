@@ -97,8 +97,11 @@ class RandomizedLogMechanism:
         us = np.asarray([u for u, _ in self.intervals])
         ws = np.asarray([w for _, w in self.intervals])
         j_w = np.searchsorted(ws, vs, side="right")
-        inside = np.searchsorted(us, vs, side="right") == j_w + 1
-        return j_w, inside, us[np.minimum(j_w, len(us) - 1)], vs >= ws[-1]
+        u = us[np.minimum(j_w, len(us) - 1)]
+        # the intervals are sorted and disjoint, so v has passed j_w or j_w + 1
+        # starts, and j_w + 1 exactly when it is at or above the next one
+        inside = (j_w < len(us)) & (vs >= u)
+        return j_w, inside, u, vs >= ws[-1]
 
     def allocation(self, v):
         """Winning probability q(v): 0 below the menu, 1 at and above its top."""

@@ -181,8 +181,11 @@ class TestExpectedRevenue:
 
     def test_blocked_curves_match_one_array_pass(self, two_point):
         vs = np.random.default_rng(9).random(50_000)
-        vs[:4] = (0.0, 1.0, 0.3, 0.7)
-        for mech in (RandomizedLogMechanism.from_cut(cut(two_point, 0.2)), PostedPrice(0.4)):
+        vs[:6] = (0.0, 1.0, 0.3, 0.7, 0.15, 0.4)
+        # cut(two_point, 0.15) touches at its tie point 0.3: (0.15, 0.3), (0.3, 0.7)
+        menus = [RandomizedLogMechanism.from_cut(cut(two_point, pi)) for pi in (0.2, 0.15)]
+        assert menus[1].intervals[0][1] == menus[1].intervals[1][0]
+        for mech in (*menus, PostedPrice(0.4)):
             pays = _one_pass_payment(mech, vs)
             assert np.array_equal(mech.payment(vs), pays)
             alloc = _one_pass_allocation(mech, vs)

@@ -3,10 +3,11 @@ checked against the atom-by-atom oracles in ``helpers``.
 
 Empirical CCDF integrals, fragility-adjusted posted revenues and cut
 intervals are compared with sums and loops over the atoms; the Wasserstein
-distance from a sample to a Beta law with a dense trapezoid grid; Beta draws
-with the bisection quantile every distribution inherits, with 50-digit
-mpmath quantiles and with scipy's ``betaincinv``; mixture draws with the
-mixture mean.
+distance from a sample to a Beta law with a dense trapezoid grid, and its
+Newton-refined crossings with ITP ones; Beta draws with the bisection
+quantile every distribution inherits, with 50-digit mpmath quantiles and
+with scipy's ``betaincinv``, and the quantile table with the Halley kernel;
+mixture draws with the mixture mean.
 """
 
 import math
@@ -40,6 +41,7 @@ from robustmech import (
 )
 from robustmech import distributions
 from robustmech.evaluation import SweepConfig
+from robustmech.numerics import refine_crossing
 
 TANGENCY_WIDTH = 1e-9
 
@@ -172,6 +174,51 @@ def test_wasserstein_sample_to_continuous_against_dense_grid(n, truth):
     assert wasserstein_distance(truth, ref) == pytest.approx(oracle, abs=2e-6)
 
 
+def _itp_step_crossings(p, p0, breaks):
+    """``distributions._step_crossings`` refined by ITP steps alone."""
+    a, b = breaks[:-1], breaks[1:]
+    keep = b - a > 1e-15
+    a, b = a[keep], b[keep]
+    emp, other, sign = (p, p0, 1.0) if isinstance(p, Empirical) else (p0, p, -1.0)
+    level = emp._ccdf(a)
+    d_a = sign * (level - other._ccdf(a))
+    d_b = sign * (level - other._ccdf(b))
+    crossings = []
+    for j in np.flatnonzero((d_a >= 0.0) != (d_b >= 0.0)):
+        def diff(x, lv=float(level[j])):
+            return sign * (lv - float(other._ccdf(np.asarray(x))))
+
+        crossings.append(
+            refine_crossing(diff, float(a[j]), float(b[j]), flo=float(d_a[j]), fhi=float(d_b[j]))
+        )
+    return crossings
+
+
+@pytest.mark.parametrize("n", [300, 1000])
+@pytest.mark.parametrize(
+    "truth",
+    [Beta(2.0, 5.0), Beta(0.5, 0.5), Mixture((Beta(2.0, 10.0), Beta(10.0, 2.0)), (0.85, 0.15))],
+    ids=["beta2_5", "beta.5_.5", "mixture"],
+)
+def test_newton_step_crossings_match_itp_in_few_evaluations(n, truth, monkeypatch):
+    # a sample of the law itself crosses it inside many steps; each crossing
+    # costs the iterations of its root search, one CCDF evaluation each
+    ref = Empirical.from_samples(truth.sample(n, np.random.default_rng(26)))
+    evaluations, search = [], distributions.bisect_root
+
+    def counting(*args, **kwargs):
+        res = search(*args, **kwargs)
+        evaluations.append(res.iterations)
+        return res
+
+    with monkeypatch.context() as patch:
+        patch.setattr(distributions, "bisect_root", counting)
+        got = wasserstein_distance(ref, truth)
+    assert len(evaluations) >= 5 and np.median(evaluations) <= 5
+    monkeypatch.setattr(distributions, "_step_crossings", _itp_step_crossings)
+    assert got == pytest.approx(wasserstein_distance(ref, truth), rel=1e-13, abs=0.0)
+
+
 @pytest.mark.parametrize("shape", [(2.0, 5.0), (0.5, 0.5), (10.0, 2.0), (1.0, 1.0)])
 def test_beta_draws_match_bisection_quantile(shape):
     dist = Beta(*shape)
@@ -239,7 +286,7 @@ def test_beta_draws_match_betaincinv(shape):
 
 
 @pytest.mark.parametrize("shape", MC_SHAPES)
-def test_beta_draws_take_about_one_betainc_each(shape, monkeypatch):
+def test_beta_draws_with_the_table_built_take_few_betaincs(shape, monkeypatch):
     evaluated = []
     betainc = distributions.betainc
 
@@ -247,11 +294,48 @@ def test_beta_draws_take_about_one_betainc_each(shape, monkeypatch):
         evaluated.append(np.size(x))
         return betainc(a, b, x)
 
+    distributions._beta_knots(*shape)
     monkeypatch.setattr(distributions, "betainc", counting)
     n = 100_000
     Beta(*shape).sample(n, np.random.default_rng(23))
-    # every draw takes its first Halley step through the patched betainc
-    assert n <= sum(evaluated) <= 1.25 * n
+    # the draws outside the certified cells, about 11%, take their first
+    # Halley step through the patched betainc; the others take none
+    assert 0.1 * n <= sum(evaluated) <= 0.25 * n
+
+
+def _certified_cells(shape):
+    """Per side, which cells of the Beta(shape) quantile table are certified."""
+    _, lower, _, table = distributions._beta_knots(*shape)
+    ok = np.isfinite(table[0])
+    return ok[: len(lower) - 1], ok[len(lower) - 1 :]
+
+
+@pytest.mark.parametrize("shape", QUANTILE_SHAPES, ids=lambda s: f"{s[0]:g}_{s[1]:g}")
+def test_beta_table_matches_the_kernel_in_every_certified_cell(shape, monkeypatch):
+    # 31 points inside each certified cell, against the Halley kernel with
+    # the mpmath test's bound; the table alone answers them
+    split, lower, upper, _ = distributions._beta_knots(*shape)
+    ts = np.arange(1, 32) / 32
+    ws = [((np.flatnonzero(ok)[:, None] + ts) / 1024).ravel() for ok in _certified_cells(shape)]
+    low, high = ws[0][ws[0] <= split], 1.0 - ws[1]
+    high = high[high > split]
+    with monkeypatch.context() as patch:
+        patch.setattr(distributions, "betainc", None)
+        got = Beta(*shape).quantile(np.concatenate((low, high)))
+    want = np.concatenate(
+        (
+            distributions._lower_quantile(*shape, low, lower),
+            1.0 - distributions._lower_quantile(shape[1], shape[0], 1.0 - high, upper),
+        )
+    )
+    _assert_near(got, want)
+
+
+@pytest.mark.parametrize("shape", QUANTILE_SHAPES, ids=lambda s: f"{s[0]:g}_{s[1]:g}")
+def test_beta_table_certifies_most_cells(shape):
+    lower_ok, upper_ok = _certified_cells(shape)
+    assert not lower_ok[0] and not upper_ok[0]  # the power-law tails
+    assert lower_ok.mean() >= 0.8 and upper_ok.mean() >= 0.8
 
 
 @pytest.mark.parametrize(
