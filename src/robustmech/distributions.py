@@ -287,11 +287,14 @@ class Beta(ValuationDistribution):
     with 1 - x exact, above it.  The density uses ``math``, with log B(alpha,
     beta) from ``math.lgamma`` once per shape.
 
-    The quantile reads most draws off a cached table of quintic polynomials,
-    one per cell between ``betaincinv`` knots, built once per shape and
+    The quantile reads draws off a cached table of quintic polynomials, one
+    per cell between ``betaincinv`` knots, built once per shape and
     certified cell by cell against the kernel: no ``betainc`` for those.
-    The kernel solves the rest (the power-law tails and the cells that miss
-    1e-14), with about one ``betainc`` each: it starts from the knots
+    The cells are 1/1024 wide from the tail probability w = 1/16 on and
+    shrink with w below it, 64 to an octave down to w = 2**-20, so the
+    power-law tails are in the table too.  The kernel solves the rest (w
+    below 2**-20, about 2 draws per million, and the cells that miss 1e-14),
+    with about one ``betainc`` each: it starts from knots at w = k / 1024
     (linear in each cell, the power-law tail in the first), takes one Halley
     step on log I(alpha, beta, x) = log u against log x, and polishes the few
     draws that step moved by more than 1e-5 relative, bracketing any that
@@ -357,8 +360,19 @@ class Beta(ValuationDistribution):
         return {"kind": "beta", "alpha": self.alpha, "beta": self.beta}
 
 
-#: cells of the cached Beta quantile table, whose knots sit at u = k / 1024
+#: cells of width 1 / 1024 in [0, 1]: the kernel's knots are at w = k / 1024,
+#: and the table's cells from w = 1/16 on
 _QUANTILE_CELLS = 1024
+#: the first of them in the table, at w = 1/16; the octave cells cover below
+_FIRST_CELL = 64
+#: the octave cells' knots: 64 to each octave [2**-(m+1), 2**-m), m = 19..4,
+#: from 2**-20 up to (not including) 1/16
+_OCTAVE_WS = (np.ldexp(1.0, np.arange(-20, -4))[:, None] * (1.0 + np.arange(64) / 64)).ravel()
+#: a positive float's bits above the lowest 46 are its exponent and the 6
+#: leading bits of its mantissa, so they count octave cells from 2**-20 on,
+#: and the lowest 46 are the position in the cell (exactly)
+_OCTAVE_SHIFT = 46
+_OCTAVE_BIAS = int(np.float64(2.0**-20).view(np.int64) >> _OCTAVE_SHIFT) - 1
 #: draws per block of the kernel: about 1 MB of scratch arrays
 _QUANTILE_BLOCK = 16_384
 #: a Halley step no longer than this, relative to the nearer end of [0, 1],
@@ -375,49 +389,76 @@ _TINY = float(np.finfo(float).tiny)
 
 @lru_cache(maxsize=64)
 def _beta_knots(a: float, b: float):
-    """The split, each side's quantile knots and the certified quintic table
-    of Beta(a, b), built once per shape (about 57 KB).
+    """The split, each side's kernel knots and the certified quintic table
+    of Beta(a, b), built once per shape (about 170 KB).
 
     Draws with u <= split solve I(a, b, x) = u, the others I(b, a, y) = 1 - u
     in y = 1 - x, where 1 - u is exact.  The split is u = 1/2, moved up to
     I(a, b, 2**-10) when more than half the mass lies below x = 2**-10: only
     above that x does x = 1 - y keep 1e-13 relative precision (half an ulp of
     y is below 6e-14 x), while below it, where that mass sits, I - u pins x
-    down.  Each side's knots are ``betaincinv`` at w = k / 1024, up to its
-    split.  The table holds the coefficients of the lower side's cells, then
-    the upper side's (see ``_cell_coefficients``).
+    down.  Each side's kernel knots are ``betaincinv`` at w = k / 1024, up
+    to its split.  The table holds the lower side's columns, then the upper
+    side's (see ``_side_table``).
     """
     split = max(0.5, float(betainc(a, b, 2.0**-10)))
-    ws = np.arange(_QUANTILE_CELLS + 1) / _QUANTILE_CELLS
-    lower = betaincinv(a, b, ws[: math.ceil(split * _QUANTILE_CELLS) + 1])
-    upper = betaincinv(b, a, ws[: max(math.ceil((1.0 - split) * _QUANTILE_CELLS), 1) + 1])
-    table = np.hstack((_cell_coefficients(a, b, lower), _cell_coefficients(b, a, upper)))
+    lower, low_table = _side_table(a, b, math.ceil(split * _QUANTILE_CELLS))
+    upper, up_table = _side_table(b, a, max(math.ceil((1.0 - split) * _QUANTILE_CELLS), 1))
+    table = np.hstack((low_table, up_table))
     for t in (lower, upper, table):
         t.flags.writeable = False
     return split, lower, upper, table
 
 
-def _cell_coefficients(p: float, q: float, knots: np.ndarray) -> np.ndarray:
-    """Per knot cell, the coefficients c0..c5 (a column each) of the quintic
-    Hermite interpolant of z(w), the root of I(p, q, z) = w, in t = 1024 w - k.
+def _side_table(p: float, q: float, end: int):
+    """The kernel knots of I(p, q, z) = w at w = k / 1024, k <= end, and the
+    side's table columns, from one ``betaincinv`` call.
+
+    The columns: one per cell k < end of width 1 / 1024 (NaN below k = 64,
+    where the octave cells answer), then a NaN column for w < 2**-20, then
+    the 1,024 octave cells from 2**-20 up to 1/16 (see
+    ``_cell_coefficients``).  No cell is wider than 1/64 of the w at its
+    left end.  A side that ends below 1/16 still builds them all, certified
+    against knots up to 1/16, so that every side has the same octave columns.
+    """
+    top = max(end, _FIRST_CELL)
+    ws = np.concatenate(([0.0], _OCTAVE_WS, np.arange(_FIRST_CELL, top + 1) / _QUANTILE_CELLS))
+    zs = betaincinv(p, q, ws)
+    # every w = k / 1024 from 1/1024 on is an octave knot or a uniform one
+    knots = zs[np.searchsorted(ws, np.arange(top + 1) / _QUANTILE_CELLS)]
+    coef = _cell_coefficients(p, q, ws[1:], zs[1:], knots)
+    octave, n = _OCTAVE_WS.size, min(end, _FIRST_CELL)
+    nan = np.full((6, 1), np.nan)
+    table = np.hstack((nan.repeat(n, axis=1), coef[:, octave : octave + end - n], nan, coef[:, :octave]))
+    return knots[: end + 1], table
+
+
+def _cell_coefficients(
+    p: float, q: float, ws: np.ndarray, zs: np.ndarray, knots: np.ndarray
+) -> np.ndarray:
+    """Per cell between the knots (ws, zs), the coefficients c0..c5 (a column
+    each) of the quintic Hermite interpolant of z(w), the root of
+    I(p, q, z) = w, in t = (w - w_i) / h_i on the cell's own width h_i.
 
     The interpolant matches the knots, z' = 1 / pdf(z) and z'' = -(d log
     pdf / dz) z'**2 at both ends of the cell, with the closed-form density of
     ``_halley_step``, as in Derflinger, Hoermann and Leydold's PINV (ACM
     TOMACS 2010).  A cell is certified when its coefficients are finite and
     the interpolant at t = 1/4, 1/2 and 3/4 is within ``_TABLE_RTOL`` of
-    ``_lower_quantile``, relative to the nearer end of [0, 1]; never the
-    first, where the power-law tail holds: its knot z = 0 gives z' or z''
-    no finite value.  The column of a cell that is not certified is NaN, so
-    its draws come out NaN.
+    ``_lower_quantile`` (from the kernel ``knots``), relative to the nearer
+    end of [0, 1].  The column of a cell that is not certified is NaN, so its
+    draws come out NaN.
     """
     with np.errstate(all="ignore"):
-        h = 1.0 / _QUANTILE_CELLS
-        # h z' and h**2 z'' at each knot
-        v = h * np.exp(betaln(p, q) - (p - 1.0) * np.log(knots) - (q - 1.0) * np.log1p(-knots))
-        acc = ((q - 1.0) / (1.0 - knots) - (p - 1.0) / knots) * v * v
-        z0, z1, v0, v1, a0, a1 = knots[:-1], knots[1:], v[:-1], v[1:], acc[:-1], acc[1:]
-        d = z1 - z0
+        h = np.diff(ws)
+        # z' and (d log pdf / dz) at each knot; h z' and h**2 z'' at each end
+        # of each cell
+        dz = np.exp(betaln(p, q) - (p - 1.0) * np.log(zs) - (q - 1.0) * np.log1p(-zs))
+        curv = (q - 1.0) / (1.0 - zs) - (p - 1.0) / zs
+        v0, v1 = h * dz[:-1], h * dz[1:]
+        a0, a1 = curv[:-1] * v0 * v0, curv[1:] * v1 * v1
+        z0 = zs[:-1]
+        d = zs[1:] - z0
         coef = np.stack(
             (
                 z0,
@@ -432,7 +473,7 @@ def _cell_coefficients(p: float, q: float, knots: np.ndarray) -> np.ndarray:
         ts, cells = (0.25, 0.5, 0.75), np.flatnonzero(ok)
         k, t = np.repeat(cells, len(ts)), np.tile(ts, cells.size)
         got = _horner(coef, k, t)
-        want = _lower_quantile(p, q, (k + t) / _QUANTILE_CELLS, knots)
+        want = _lower_quantile(p, q, ws[k] + t * h[k], knots)
         close = np.abs(got - want) <= _TABLE_RTOL * np.minimum(want, 1.0 - want)
         ok[ok] = close.reshape(-1, len(ts)).all(axis=1)
         coef[:, ~ok] = np.nan
@@ -454,13 +495,17 @@ def _beta_quantile(a: float, b: float, us: np.ndarray) -> np.ndarray:
 
     Draws in certified cells take the table's polynomial, in blocks of
     ``_QUANTILE_BLOCK`` draws so that the scratch arrays stay small beside
-    the output.  (A lower draw at the end of the lower side's last cell
-    lands in the upper side's first, which is not certified.)  The other
-    draws are gathered across all blocks and solved by the kernel,
-    ``_lower_quantile``, in blocks of the same size: a draw's value depends
-    on its own u alone.
+    the output: w = k / 1024 + t / 1024 picks cell k, and a draw below
+    w = 1/16 is moved to its octave cell.  (A lower draw at the end of the
+    lower side's last cell lands in the NaN column after it.)  The other
+    draws, w below 2**-20 and any uncertified cell, are gathered across all
+    blocks and solved by the kernel, ``_lower_quantile``, in blocks of the
+    same size: a draw's value depends on its own u alone.
     """
     split, lower, upper, table = _beta_knots(a, b)
+    up = len(lower) + _OCTAVE_WS.size  # the upper side's first column
+    # each side's NaN column, before its octave cells
+    octave = np.array((len(lower) - 1, up + len(upper) - 1))
     out = np.empty_like(us)
     flat_us, flat_out = us.reshape(-1), out.reshape(-1)
     rest = [np.empty(0, dtype=np.intp)]
@@ -470,10 +515,15 @@ def _beta_quantile(a: float, b: float, us: np.ndarray) -> np.ndarray:
         # |high - u| is w, u on the lower side and 1 - u (exact) on the upper,
         # and |high - z| is x from the side's root z in the same way
         pos = np.abs(high - u)
+        small = np.flatnonzero(pos < _FIRST_CELL / _QUANTILE_CELLS)
+        bits = pos[small].view(np.int64)
         pos *= _QUANTILE_CELLS
         k = pos.astype(np.intp)
         pos -= k
-        k += high * (len(lower) - 1)
+        k += high * up
+        cell = np.maximum((bits >> _OCTAVE_SHIFT) - _OCTAVE_BIAS, 0)
+        k[small] = cell + octave.take(high[small])
+        pos[small] = (bits & ((1 << _OCTAVE_SHIFT) - 1)) * 2.0**-_OCTAVE_SHIFT
         x = flat_out[start : start + _QUANTILE_BLOCK]
         np.abs(high - _horner(table, k, pos), out=x)
         rest.append(start + np.flatnonzero(np.isnan(x)))
@@ -618,23 +668,35 @@ class Mixture(ValuationDistribution):
         return tuple(sorted(set(pts)))
 
     def sample(self, n, rng):
-        # pick each draw's component from n uniforms, then invert that
-        # component's CDF at n more; both passes go block by block, which
-        # draws the same stream as whole arrays would, so only the component
-        # indices (a byte each, for up to 255 components) and the output span n
+        """n draws: each draw's component from n uniforms, then that
+        component's quantile at n more.
+
+        Both passes go block by block, which draws the same stream as whole
+        arrays would, so only the component indices (a byte each, for up to
+        255 components) and the output span n.  A draw's component is the
+        count of cumulative weights before the last at or below its uniform;
+        in each block one stable sort of the indices gives each component a
+        contiguous slice of uniforms, and the values go back in one scatter.
+        """
         check_count(n, 0, "sample size")
-        cum, last = np.cumsum(self.weights), len(self.components) - 1
-        which = np.empty(n, dtype=np.uint8 if last < 255 else np.intp)
+        cum = np.cumsum(self.weights)[:-1]
+        which = np.zeros(n, dtype=np.uint8 if cum.size < 255 else np.intp)
         for s in range(0, n, _MIXTURE_BLOCK):
             u = rng.random(min(_MIXTURE_BLOCK, n - s))
-            which[s : s + u.size] = np.minimum(np.searchsorted(cum, u, side="right"), last)
+            block = which[s : s + u.size]
+            for c in cum:
+                block += u >= c
         out = np.empty(n)
         for s in range(0, n, _MIXTURE_BLOCK):
             us = rng.random(min(_MIXTURE_BLOCK, n - s))
-            block, got = which[s : s + us.size], out[s : s + us.size]
-            for j, c in enumerate(self.components):
-                sel = block == j
-                got[sel] = c._quantile(us[sel])
+            block = which[s : s + us.size]
+            order = np.argsort(block, kind="stable")
+            us = us.take(order)
+            ends = np.cumsum(np.bincount(block, minlength=len(self.components)))
+            for c, lo, hi in zip(self.components, (0, *ends[:-1]), ends):
+                if hi > lo:
+                    us[lo:hi] = c._quantile(us[lo:hi])
+            out[s : s + us.size][order] = us
         return out
 
     def to_json(self):
@@ -697,6 +759,8 @@ class Empirical(ValuationDistribution):
         # steps up to it as (left, right, height) for the iso-revenue cut
         knots = np.concatenate(([0.0], values))
         cum = np.concatenate(([0.0], np.cumsum(masses)))
+        # no mass past the largest atom, whatever the rounding of the sum
+        cum[-1] = 1.0
         tail = 1.0 - cum
         prefix = np.concatenate(([0.0], np.cumsum(np.diff(knots) * tail[:-1])))
         nonempty = knots[1:] > knots[:-1]
@@ -744,10 +808,7 @@ class Empirical(ValuationDistribution):
         return tuple(v[(v > 0.0) & (v < 1.0)].tolist())
 
     def _quantile(self, us):
-        cum = self._cum[1:].copy()
-        cum[-1] = 1.0
-        idx = np.searchsorted(cum, us, side="left")
-        return self._values[np.minimum(idx, len(self.atoms) - 1)]
+        return self._values[np.searchsorted(self._cum[1:], us, side="left")]
 
     def to_json(self):
         return {"kind": "empirical", "atoms": [[v, m] for v, m in self.atoms]}

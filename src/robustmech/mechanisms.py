@@ -115,18 +115,42 @@ class RandomizedLogMechanism:
         return np.where(top, 1.0, out)
 
     def payment(self, v):
-        """Payment m(v): slope inside intervals, constant elsewhere, m(0) = 0."""
-        return _blockwise(self._payment, v)
+        """Payment m(v): slope inside intervals, constant elsewhere, m(0) = 0;
+        one search of the interval starts and a clip per valuation."""
+        return _blockwise(self._payment_curve(), v)
 
-    def _payment(self, vs):
-        j_w, inside, u, top = self._locate(vs)
-        cum_width = np.asarray(self._cum_width)
-        out = self.slope * (cum_width[j_w] + np.where(inside, vs - u, 0.0))
-        return np.where(top, self.slope * cum_width[-1], out)
+    def _payment_curve(self):
+        """m on an array of valuations in [0, 1], with the menu's arrays built once.
+
+        With j the last interval starting at or below v (0 below the menu),
+        m(v) = slope (cum_width[j] + clip(v - u_j, 0, w_j - u_j)): past
+        interval j the sum is cum_width[j] + (w_j - u_j), the addition that
+        made cum_width[j + 1], so each value is the float of the formula by
+        cases (inside an interval, between two, above the menu).  j is the
+        count of later starts at or below v: one search, in the starts after
+        the first.
+        """
+        us = np.asarray([u for u, _ in self.intervals])
+        widths = np.asarray([w - u for u, w in self.intervals])
+        later = us[1:]
+        cum_width = np.asarray(self._cum_width[:-1])
+        slope = self.slope
+
+        def curve(vs):
+            j = np.searchsorted(later, vs, side="right")
+            out = vs - us.take(j)
+            np.maximum(out, 0.0, out=out)
+            np.minimum(out, widths.take(j), out=out)
+            out += cum_width.take(j)
+            out *= slope
+            return out
+
+        return curve
 
     def buyer_surplus(self, v):
         """q(v) v - m(v); nonnegative and nondecreasing in v."""
-        return _blockwise(lambda vs: self._allocation(vs) * vs - self._payment(vs), v)
+        pay = self._payment_curve()
+        return _blockwise(lambda vs: self._allocation(vs) * vs - pay(vs), v)
 
     def price_statistics(self) -> PriceStatistics:
         """Moments of the random price whose CDF is the allocation.

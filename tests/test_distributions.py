@@ -301,11 +301,15 @@ class TestMixtureSample:
             out[sel] = c._quantile(us[sel])
         return out
 
-    @pytest.mark.parametrize("n", [1, 2**17 + 1, 300_000])
+    @pytest.mark.parametrize("n", [0, 1, 2**17 + 1, 300_000])
     def test_blocks_draw_what_whole_arrays_draw(self, n):
-        got = self.MIXTURE.sample(n, np.random.default_rng(9))
-        want = self.whole_arrays(self.MIXTURE, n, np.random.default_rng(9))
-        assert np.array_equal(got, want)
+        # each component's draws come from its contiguous slice of the sorted
+        # uniforms; a draw depends on its own uniform alone
+        three = Mixture((Beta(0.5, 0.5), Power(3.0), Beta(4.0, 4.0)), (0.2, 0.5, 0.3))
+        for mixture in (self.MIXTURE, three):
+            got = mixture.sample(n, np.random.default_rng(9))
+            want = self.whole_arrays(mixture, n, np.random.default_rng(9))
+            assert np.array_equal(got, want)
 
     def test_a_million_draws_peak_under_20_mb(self):
         # 8 MB of output and 1 MB of component indices, plus one block's scratch

@@ -163,8 +163,9 @@ class TestExpectedRevenue:
         assert a.standard_error == b.standard_error
 
     def test_monte_carlo_prices_a_million_draws_in_small_blocks(self, uniform, beta25):
-        # 8 MB of draws and 8 MB of payments; one array pass over the draws
-        # held about 58 MB of payment scratch on top, a peak of 66 MB
+        # 8 MB of draws and 8 MB of payments, which the standard error
+        # reuses; one array pass over the draws held about 58 MB of payment
+        # scratch on top, a peak of 66 MB, and np.std 8 MB more
         mech = solve(uniform, 0.2).mechanism
         n = 1_000_000
         expected_revenue(mech, beta25, "monte_carlo", mc_n=1_000)  # fill the caches
@@ -174,17 +175,22 @@ class TestExpectedRevenue:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 33e6
+        assert peak <= 18e6
         pays = _one_pass_payment(mech, beta25.sample(n, np.random.default_rng(42)))
         assert rep.expected_revenue == float(np.mean(pays))
         assert rep.standard_error == float(np.std(pays) / math.sqrt(n))
 
     def test_blocked_curves_match_one_array_pass(self, two_point):
-        vs = np.random.default_rng(9).random(50_000)
-        vs[:6] = (0.0, 1.0, 0.3, 0.7, 0.15, 0.4)
         # cut(two_point, 0.15) touches at its tie point 0.3: (0.15, 0.3), (0.3, 0.7)
         menus = [RandomizedLogMechanism.from_cut(cut(two_point, pi)) for pi in (0.2, 0.15)]
         assert menus[1].intervals[0][1] == menus[1].intervals[1][0]
+        for n in (3, 50):
+            ends = np.sort(np.random.default_rng(n).random(2 * n)).tolist()
+            menus.append(RandomizedLogMechanism(tuple(zip(ends[::2], ends[1::2])), 0.1))
+        knots = sorted({x for mech in menus for iv in mech.intervals for x in iv})
+        vs = np.random.default_rng(9).random(50_000)
+        # every knot of every menu, 0, 1 and a posted price
+        vs[: len(knots) + 4] = (*knots, 0.0, 1.0, 0.4, 0.7)
         for mech in (*menus, PostedPrice(0.4)):
             pays = _one_pass_payment(mech, vs)
             assert np.array_equal(mech.payment(vs), pays)

@@ -219,6 +219,27 @@ def test_newton_step_crossings_match_itp_in_few_evaluations(n, truth, monkeypatc
     assert got == pytest.approx(wasserstein_distance(ref, truth), rel=1e-13, abs=0.0)
 
 
+def test_no_crossing_is_refined_past_the_largest_atom(monkeypatch):
+    # the CCDF is exactly 0 from the largest atom on, although 300 masses of
+    # 1/300 sum to 1 - 2.3e-15: the step there meets the law's tail only at
+    # x = 1, where the difference is an exact zero, and is not refined (it
+    # was refined to a phantom crossing at 0.99917 in 18 iterations)
+    truth = Beta(2.0, 5.0)
+    ref = Empirical.from_samples(truth.sample(300, np.random.default_rng(28)))
+    top = ref.atoms[-1][0]
+    assert ref.ccdf(top) == 0.0
+    searches, search = [], distributions.bisect_root
+
+    def recording(f, lo, hi, **kwargs):
+        res = search(f, lo, hi, **kwargs)
+        searches.append((lo, res.iterations))
+        return res
+
+    monkeypatch.setattr(distributions, "bisect_root", recording)
+    wasserstein_distance(ref, truth)
+    assert searches and all(its == 0 for lo, its in searches if lo == top)
+
+
 @pytest.mark.parametrize("shape", [(2.0, 5.0), (0.5, 0.5), (10.0, 2.0), (1.0, 1.0)])
 def test_beta_draws_match_bisection_quantile(shape):
     dist = Beta(*shape)
@@ -298,25 +319,47 @@ def test_beta_draws_with_the_table_built_take_few_betaincs(shape, monkeypatch):
     monkeypatch.setattr(distributions, "betainc", counting)
     n = 100_000
     Beta(*shape).sample(n, np.random.default_rng(23))
-    # the draws outside the certified cells, about 11%, take their first
-    # Halley step through the patched betainc; the others take none
-    assert 0.1 * n <= sum(evaluated) <= 0.25 * n
+    # only draws below w = 2**-20 (about 2 per million) or in a cell the
+    # table did not certify take a Halley step through the patched betainc
+    assert sum(evaluated) <= 0.001 * n
 
 
-def _certified_cells(shape):
-    """Per side, which cells of the Beta(shape) quantile table are certified."""
-    _, lower, _, table = distributions._beta_knots(*shape)
+def _table_cells(shape):
+    """Per side of the Beta(shape) quantile table: the kernel knots, and the
+    left end w, width h and certification of its cells of width 1 / 1024
+    from w = 1/16 on, then of its octave cells below 1/16."""
+    _, lower, upper, table = distributions._beta_knots(*shape)
     ok = np.isfinite(table[0])
-    return ok[: len(lower) - 1], ok[len(lower) - 1 :]
+    octave_ws = distributions._OCTAVE_WS
+    octave_hs = np.diff(np.append(octave_ws, 1 / 16))
+    sides, start = [], 0
+    for knots in (lower, upper):
+        end = len(knots) - 1
+        # the side's columns: cells k < end (NaN below 64), a NaN column for
+        # w < 2**-20, then the octave cells
+        assert not ok[start : start + min(end, 64)].any() and not ok[start + end]
+        uniform = np.arange(64, end)
+        cells = (
+            (uniform / 1024, np.full(uniform.size, 1 / 1024), ok[start + uniform]),
+            (octave_ws, octave_hs, ok[start + end + 1 : start + end + 1 + octave_ws.size]),
+        )
+        sides.append((knots, cells))
+        start += end + 1 + octave_ws.size
+    assert start == table.shape[1]
+    return sides
 
 
 @pytest.mark.parametrize("shape", QUANTILE_SHAPES, ids=lambda s: f"{s[0]:g}_{s[1]:g}")
 def test_beta_table_matches_the_kernel_in_every_certified_cell(shape, monkeypatch):
-    # 31 points inside each certified cell, against the Halley kernel with
-    # the mpmath test's bound; the table alone answers them
-    split, lower, upper, _ = distributions._beta_knots(*shape)
+    # 31 points inside each certified cell, uniform and octave, against the
+    # Halley kernel with the mpmath test's bound; the table alone answers them
+    split = distributions._beta_knots(*shape)[0]
     ts = np.arange(1, 32) / 32
-    ws = [((np.flatnonzero(ok)[:, None] + ts) / 1024).ravel() for ok in _certified_cells(shape)]
+    (lower, low_cells), (upper, up_cells) = _table_cells(shape)
+    ws = [
+        np.concatenate([(w[ok, None] + ts * h[ok, None]).ravel() for w, h, ok in cells])
+        for cells in (low_cells, up_cells)
+    ]
     low, high = ws[0][ws[0] <= split], 1.0 - ws[1]
     high = high[high > split]
     with monkeypatch.context() as patch:
@@ -333,9 +376,47 @@ def test_beta_table_matches_the_kernel_in_every_certified_cell(shape, monkeypatc
 
 @pytest.mark.parametrize("shape", QUANTILE_SHAPES, ids=lambda s: f"{s[0]:g}_{s[1]:g}")
 def test_beta_table_certifies_most_cells(shape):
-    lower_ok, upper_ok = _certified_cells(shape)
-    assert not lower_ok[0] and not upper_ok[0]  # the power-law tails
-    assert lower_ok.mean() >= 0.8 and upper_ok.mean() >= 0.8
+    for _, ((_, _, uniform_ok), (_, _, octave_ok)) in _table_cells(shape):
+        assert octave_ok.all()
+        assert uniform_ok.mean() >= 0.8
+
+
+@pytest.mark.parametrize("shape", MC_SHAPES)
+def test_beta_draws_in_cells_of_width_one_1024th_keep_their_bits(shape):
+    # above w = 1/16 the table reads cell k = floor(1024 w) at t = 1024 w - k,
+    # the lower side's cells first: this index formula, inlined, is the oracle
+    split, lower, _, table = distributions._beta_knots(*shape)
+    us = np.random.default_rng(27).random(50_000)
+    high = us > split
+    w = np.abs(high - us)
+    pos = w * 1024
+    k = pos.astype(np.intp)
+    col = k + high * (len(lower) + distributions._OCTAVE_WS.size)
+    z = table[5, col]
+    for c in table[4::-1]:
+        z = z * (pos - k) + c[col]
+    answered = (w >= 1 / 16) & np.isfinite(z)
+    assert answered.mean() >= 0.8
+    got = Beta(*shape).quantile(us)
+    assert np.array_equal(got[answered], np.abs(high - z)[answered])
+
+
+def test_beta_draws_above_one_16th_are_those_of_the_uniform_table():
+    # above w = 1/16 the quantile comes from the cells of width 1/1024
+    # alone: these are its values from before there were octave cells
+    us = [0.0625, 0.1, 0.25, 0.5, 0.75, 0.9, 0.9375]
+    want = {
+        (2.0, 5.0): [
+            0.07106337450903007, 0.09259525891312874, 0.16116291679032652,
+            0.26444998329566005, 0.3894794852007245, 0.5103163065514917, 0.5602673252902708,
+        ],
+        (10.0, 2.0): [
+            0.6523736960756283, 0.6897565521874541, 0.7733725024547912,
+            0.8520365745693936, 0.9123900463324663, 0.9505481528297315, 0.9622503463389003,
+        ],
+    }
+    for shape, values in want.items():
+        assert Beta(*shape).quantile(np.array(us)).tolist() == values
 
 
 @pytest.mark.parametrize(
