@@ -27,7 +27,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .errors import DomainError, any_outside, check_count
-from .numerics import adaptive_simpson, bisect_root, refine_crossing
+from .numerics import adaptive_simpson, refine_crossing
 
 __all__ = [
     "ValuationDistribution",
@@ -784,6 +784,11 @@ class Empirical(ValuationDistribution):
     def __hash__(self):
         return self._hash
 
+    def __getstate__(self):
+        # the level searches' table, built on their first use of the instance
+        # (``isorevenue._level_table``), is not pickled
+        return {k: v for k, v in self.__dict__.items() if k != "_level_table"}
+
     def _ccdf(self, xs):
         return self._tail[np.searchsorted(self._values, xs, side="right")]
 
@@ -924,36 +929,40 @@ def _union_breakpoints(p: ValuationDistribution, q: ValuationDistribution):
     return pts[(pts >= 0.0) & (pts <= 1.0)]
 
 
-def _step_crossings(p, p0, breaks) -> list[float]:
-    """Sign changes of ccdf_p - ccdf_p0 when exactly one side is empirical.
+def _sample_to_law(emp: Empirical, law: ValuationDistribution) -> float:
+    """W1 between an empirical and a continuous law, in one pass over the steps.
 
-    Between consecutive breakpoints the empirical CCDF is constant and the
-    other one nonincreasing, so the difference is monotone there: a segment
-    holds a crossing exactly when the signs at its two ends differ.  Each is
-    refined by Newton steps on the other side's density.
+    On the step [k_i, k_i+1) at CCDF level L_i the difference D = S - L_i of
+    the law's CCDF S and the empirical one falls, and at each atom it jumps
+    up.  So D changes sign only inside a step with S(k_i) >= L_i > S(k_i+1),
+    where it falls through 0 at the law's quantile at 1 - L_i (clipped to the
+    step; an error d there moves W1 by about pdf d^2 / 2), or at an atom
+    where it jumps from below 0 to at or above it.  Between those points the
+    sign of D alternates, and each run adds the CCDF integrals' difference.
     """
-    a, b = breaks[:-1], breaks[1:]
-    keep = b - a > 1e-15
-    a, b = a[keep], b[keep]
-    emp, other, sign = (p, p0, 1.0) if isinstance(p, Empirical) else (p0, p, -1.0)
-    level = emp._ccdf(a)
-    # the difference just right of a and just left of b (the step holds until b)
-    d_a = sign * (level - other._ccdf(a))
-    d_b = sign * (level - other._ccdf(b))
-    crossings = []
-    for j in np.flatnonzero((d_a >= 0.0) != (d_b >= 0.0)):
-        def diff(x, lv=float(level[j])):
-            return sign * (lv - float(other._ccdf(np.asarray(x))))
-
-        def slope(x):
-            return sign * other._pdf(x)
-
-        res = bisect_root(
-            diff, float(a[j]), float(b[j]), xtol=0.0, max_iter=1200,
-            flo=float(d_a[j]), fhi=float(d_b[j]), df=slope,
-        )
-        crossings.append(res.root)
-    return crossings
+    edges = np.append(emp._knots, 1.0)
+    tail = emp._tail
+    s = law._ccdf(edges)
+    # D at each step's two ends, in order: start_0, end_0, start_1, ...
+    ends = np.empty(2 * len(tail))
+    ends[0::2] = s[:-1] - tail
+    ends[1::2] = s[1:] - tail
+    above = ends >= 0.0
+    flips = np.flatnonzero(above[1:] != above[:-1])
+    step = flips // 2
+    inside = flips % 2 == 0
+    # a crossing inside a step is at its start when D is exactly 0 there (as
+    # at 0, where both CCDFs are 1)
+    at = np.where(inside, edges[step], edges[step + 1])
+    solve = inside & (ends[flips] != 0.0)
+    if solve.any():
+        i = step[solve]
+        at[solve] = np.clip(law._quantile(1.0 - tail[i]), edges[i], edges[i + 1])
+    bounds = np.concatenate(([0.0], at, [1.0]))
+    diffs = law._integrals(bounds[:-1], bounds[1:]) - emp._integrals(bounds[:-1], bounds[1:])
+    # the runs where D < 0: from the second when D starts at or above 0
+    diffs[int(above[0]) :: 2] *= -1.0
+    return max(math.fsum(diffs.tolist()), 0.0)
 
 
 def _scanned_crossings(p, p0, breaks) -> list[float]:
@@ -982,17 +991,15 @@ def wasserstein_distance(
     """Type-1 Wasserstein distance: the integral of |ccdf_p - ccdf_p0| on [0, 1].
 
     Piecewise exact: each run of constant sign between breakpoints and
-    crossings is integrated via the CCDF partial integrals.  Crossings are
-    read off the segment ends when one side is empirical, and located by a
-    dense scan refined to float resolution when both are continuous.
+    crossings is integrated via the CCDF partial integrals.  Between a sample
+    and a continuous law the runs come from one pass over the steps
+    (``_sample_to_law``); between two continuous laws the crossings are
+    located by a dense scan refined to float resolution.
     """
+    if isinstance(p, Empirical) != isinstance(p0, Empirical):
+        return _sample_to_law(*((p, p0) if isinstance(p, Empirical) else (p0, p)))
     breaks = _union_breakpoints(p, p0)
-    if isinstance(p, Empirical) and isinstance(p0, Empirical):
-        crossings = []
-    elif isinstance(p, Empirical) or isinstance(p0, Empirical):
-        crossings = _step_crossings(p, p0, breaks)
-    else:
-        crossings = _scanned_crossings(p, p0, breaks)
+    crossings = [] if isinstance(p, Empirical) else _scanned_crossings(p, p0, breaks)
     pts = np.unique(np.concatenate((breaks, crossings)))
     mids = 0.5 * (pts[:-1] + pts[1:])
     above = p._ccdf(mids) - p0._ccdf(mids) >= 0.0

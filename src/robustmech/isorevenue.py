@@ -6,6 +6,11 @@ Wasserstein gap between the truncated iso-revenue distribution
 min{ccdf, pi/x} and the reference.  These objects drive every solver: the
 gap's root locates worst-case-optimal revenue, and the interval log-ratios
 drive the fragility first-order condition.
+
+On an empirical reference a cut is one O(n) pass over the CCDF steps, while
+``level_query`` answers the gap, the log-ratio sum and its slope at a level
+from two binary searches in arrays built once per reference; the level
+searches use the queries and finish on exact cuts.
 """
 
 from __future__ import annotations
@@ -65,6 +70,72 @@ class IsoRevenueCut(Record):
     @property
     def count(self) -> int:
         return len(self.intervals)
+
+
+@dataclass(frozen=True, slots=True)
+class LevelQuery:
+    """The sums of the cut at level ``pi`` that a level search reads, without
+    its intervals: ``gap``, ``log_sum`` (0 exactly when the cut is empty) and
+    ``dlog_sum``, as in ``IsoRevenueCut``."""
+
+    pi: float
+    gap: float
+    log_sum: float
+    dlog_sum: float
+
+
+def _level_table(dist: Empirical):
+    """Sorted thresholds of the empirical cut's steps and suffix sums over them.
+
+    A step [a, b) of height h is wholly in the cut at levels pi <= a h and in
+    it from pi/h onward when a h < pi < b h.  The table holds the lower
+    thresholds a h in ascending order with suffix sums of a h and ln(a h),
+    and the same for the upper thresholds b h.  It is built on the first
+    query and kept on the instance (not pickled); two threads that build it
+    at once build the same arrays.
+    """
+    table = getattr(dist, "_level_table", None)
+    if table is None:
+        a, b, height = dist._steps
+        on = height > 0.0
+        table = []
+        for ends in (a[on], b[on]):
+            ts = np.sort(ends * height[on])
+            # the step from 0 is never whole, so its log term is never read
+            logs = np.log(ts, out=np.zeros_like(ts), where=ts > 0.0)
+            for arr in (ts, _suffix_sums(ts), _suffix_sums(logs)):
+                arr.flags.writeable = False
+                table.append(arr)
+        table = tuple(table)
+        object.__setattr__(dist, "_level_table", table)
+    return table
+
+
+def _suffix_sums(xs: np.ndarray) -> np.ndarray:
+    """out[i] = xs[i] + ... + xs[-1], with out[len(xs)] = 0."""
+    return np.append(np.cumsum(xs[::-1])[::-1], 0.0)
+
+
+def level_query(dist: Empirical, pi: float) -> LevelQuery:
+    """The gap, log-ratio sum and its slope of the empirical cut at pi > 0,
+    from two binary searches in ``_level_table``.
+
+    With W the whole steps and P the partial ones, log_sum is the sum of
+    ln(b/a) over W plus ln(b h / pi) over P, the CCDF's integral over the cut
+    is the sum of h (b - a) over W plus b h - pi over P, and dlog_sum is
+    -|P|/pi.  Each is a difference of suffix sums, so near the tangency pi0
+    the gap loses digits to cancellation; the level searches finish on exact
+    cuts.  Intervals narrower than the cut's tangency width are counted.
+    """
+    lows, low_sums, low_logs, highs, high_sums, high_logs = _level_table(dist)
+    # whole steps: a h >= pi; steps in the cut: b h > pi (a superset)
+    i_whole = int(lows.searchsorted(pi, side="left"))
+    i_cut = int(highs.searchsorted(pi, side="right"))
+    partial = i_whole - i_cut
+    # .item reads Python floats: the same arithmetic, without numpy scalars
+    log_sum = max(high_logs.item(i_cut) - low_logs.item(i_whole) - partial * math.log(pi), 0.0)
+    integral = high_sums.item(i_cut) - low_sums.item(i_whole) - partial * pi
+    return LevelQuery(pi, max(integral - pi * log_sum, 0.0), log_sum, -partial / pi)
 
 
 def _validate_level(dist: ValuationDistribution, pi: float) -> float:

@@ -116,7 +116,8 @@ class RandomizedLogMechanism:
 
     def payment(self, v):
         """Payment m(v): slope inside intervals, constant elsewhere, m(0) = 0;
-        one search of the interval starts and a clip per valuation."""
+        a clip per valuation, and one search of the interval starts per
+        valuation when the menu has more than one interval."""
         return _blockwise(self._payment_curve(), v)
 
     def _payment_curve(self):
@@ -128,7 +129,7 @@ class RandomizedLogMechanism:
         made cum_width[j + 1], so each value is the float of the formula by
         cases (inside an interval, between two, above the menu).  j is the
         count of later starts at or below v: one search, in the starts after
-        the first.
+        the first, and 0 for every value of a one-interval menu.
         """
         us = np.asarray([u for u, _ in self.intervals])
         widths = np.asarray([w - u for u, w in self.intervals])
@@ -137,7 +138,7 @@ class RandomizedLogMechanism:
         slope = self.slope
 
         def curve(vs):
-            j = np.searchsorted(later, vs, side="right")
+            j = np.searchsorted(later, vs, side="right") if later.size else 0
             out = vs - us.take(j)
             np.maximum(out, 0.0, out=out)
             np.minimum(out, widths.take(j), out=out)

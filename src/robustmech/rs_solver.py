@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable
 
-from .distributions import ValuationDistribution, max_posted_revenue
+from .distributions import Empirical, ValuationDistribution, max_posted_revenue
 from .errors import InfeasibleTargetError, check_target
-from .isorevenue import LOG_LEVEL_FLOOR, IsoRevenueCut, cut, gap_only
+from .isorevenue import LOG_LEVEL_FLOOR, IsoRevenueCut, LevelQuery, cut, gap_only, level_query
 from .mechanisms import RandomizedLogMechanism
 from .numerics import RootResult, bisect_root
 from .records import Record
@@ -63,42 +64,51 @@ _PROBE_STEPS = (1.0, 4.0, 16.0, 64.0, 256.0)
 
 def level_search(
     dist: ValuationDistribution,
-    excess: Callable[[IsoRevenueCut], float],
+    excess: Callable[[IsoRevenueCut | LevelQuery], float],
     log_hi: float,
-    slope: Callable[[IsoRevenueCut], float],
+    slope: Callable[[IsoRevenueCut | LevelQuery], float],
 ) -> tuple[IsoRevenueCut, RootResult | None]:
     """Cut at the root of ``excess(cut(pi))``, and the search (None when
     ``excess`` is already nonnegative at the floor level, whose cut is then
-    returned).  The search's ``iterations`` counts every level it cut after
-    the floor.
+    returned).  The search's ``iterations`` counts every level it evaluated
+    after the floor.
 
     ``excess`` is nondecreasing in the level and taken as +inf at ``log_hi``;
     ``slope(cut)`` is d excess / d pi.  After the floor, the levels
-    log_hi - 1, - 4, - 16, - 64 and - 256 are cut down to the first with a
-    negative excess (or the floor), and log(pi) is searched by Newton steps
-    between that level and the last one above it down to adjacent floats, so
-    the level keeps float resolution at every scale (about 9 cuts, floor and
-    probes included).
+    log_hi - 1, - 4, - 16, - 64 and - 256 are evaluated down to the first
+    with a negative excess (or the floor), and log(pi) is searched by Newton
+    steps between that level and the last one above it down to adjacent
+    floats, so the level keeps float resolution at every scale (about 9
+    cuts, floor and probes included).
+
+    On an empirical reference the floor, the probes and the search evaluate
+    ``level_query`` (two binary searches) instead of ``cut``, so ``excess``
+    and ``slope`` read only ``pi``, ``gap``, ``log_sum`` and ``dlog_sum``.
+    The search then finishes with Newton steps in log(pi) on exact cuts from
+    the queries' root, inside the bracket the probes left, until the exact
+    excess changes sign or the level stops moving (2 cuts in most searches).
     """
-    floor = cut(dist, math.exp(LOG_LEVEL_FLOOR))
+    queried = isinstance(dist, Empirical)
+    evaluate = partial(level_query if queried else cut, dist)
+    floor = evaluate(math.exp(LOG_LEVEL_FLOOR))
     flo = excess(floor)
     if flo >= 0.0:
-        return floor, None
+        return (cut(dist, floor.pi) if queried else floor), None
     # the root is the last level evaluated on one side of the sign change
     ends = {True: floor}
     last = floor
-    cuts = 0
+    evaluations = 0
 
     def f(t: float) -> float:
-        nonlocal cuts, last
-        cuts += 1
-        last = cut(dist, math.exp(t))
+        nonlocal evaluations, last
+        evaluations += 1
+        last = evaluate(math.exp(t))
         e = excess(last)
         ends[e < 0.0] = last
         return e
 
     def df(t: float) -> float:
-        # the slope in log(level), at the cut f(t) just made
+        # the slope in log(level), at the level f(t) just evaluated
         return last.pi * slope(last)
 
     lo, hi, fhi, dflo = LOG_LEVEL_FLOOR, log_hi, math.inf, df(LOG_LEVEL_FLOOR)
@@ -112,7 +122,21 @@ def level_search(
             break
         hi, fhi = t, e
     res = bisect_root(f, lo, hi, xtol=0.0, flo=flo, fhi=fhi, df=df, dflo=dflo)
-    res = replace(res, iterations=cuts)
+    if queried:
+        evaluate = partial(cut, dist)
+        t, e = res.root, f(res.root)
+        while e != 0.0:
+            d = df(t)
+            step = t - e / d if d else math.nan
+            if not lo < step < hi or step == t:
+                break
+            e_step = f(step)
+            crossed = (e_step < 0.0) != (e < 0.0)
+            t, e = step, e_step
+            if crossed:
+                break
+        return last, replace(res, root=t, iterations=evaluations, residual=e)
+    res = replace(res, iterations=evaluations)
     level = math.exp(res.root)
     for c in ends.values():
         if c.pi == level:
@@ -154,10 +178,11 @@ def solve(dist: ValuationDistribution, tau: float) -> SolveReport:
     check_target(tau, pi0)
     warnings: tuple[str, ...] = ()
     # gap - (tau - pi) log_sum = log_sum (rho - tau) rises with pi below tau,
-    # at (pi - tau) dlog_sum as the gap moves as -log_sum; an empty cut sits
-    # at the tangency (k = inf), and rho(tau) >= tau closes the bracket
+    # at (pi - tau) dlog_sum as the gap moves as -log_sum; an empty cut
+    # (log_sum = 0) sits at the tangency (k = inf), and rho(tau) >= tau
+    # closes the bracket
     c, res = level_search(
-        dist, lambda c: c.gap - (tau - c.pi) * c.log_sum if c.intervals else math.inf,
+        dist, lambda c: c.gap - (tau - c.pi) * c.log_sum if c.log_sum > 0.0 else math.inf,
         math.log(tau), lambda c: (c.pi - tau) * c.dlog_sum,
     )
     if res is None:

@@ -2,15 +2,19 @@
 checked against the atom-by-atom oracles in ``helpers``.
 
 Empirical CCDF integrals, fragility-adjusted posted revenues and cut
-intervals are compared with sums and loops over the atoms; the Wasserstein
-distance from a sample to a Beta law with a dense trapezoid grid, and its
-Newton-refined crossings with ITP ones; Beta draws with the bisection
+intervals are compared with sums and loops over the atoms, the level
+queries with exact cuts, and solves on empirical references with the
+values they had when every level was an exact cut; the Wasserstein distance
+from a sample to a continuous law with a dense trapezoid grid, and with the
+distance from ITP-refined crossings it replaced; Beta draws with the bisection
 quantile every distribution inherits, with 50-digit mpmath quantiles and
 with scipy's ``betaincinv``, and the quantile table with the Halley kernel;
 mixture draws with the mixture mean.
 """
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -32,15 +36,23 @@ from robustmech import (
     Empirical,
     Mixture,
     Power,
+    TruncatedExponential,
+    Uniform,
     ValuationDistribution,
     cut,
     max_posted_revenue,
     optimal_price_given_k,
+    pi_star,
+    radius_for_target,
     rho_pp,
+    solve,
+    solve_ro,
+    tau_equiv,
     wasserstein_distance,
 )
-from robustmech import distributions
+from robustmech import distributions, numerics, rs_solver
 from robustmech.evaluation import SweepConfig
+from robustmech.isorevenue import level_query
 from robustmech.numerics import refine_crossing
 
 TANGENCY_WIDTH = 1e-9
@@ -159,11 +171,160 @@ def test_cut_on_a_large_sample_matches_atom_loop():
         _assert_same_cut(ref, frac * pi0)
 
 
-@pytest.mark.parametrize("n", [1, 7, 300])
+def _query_references():
+    refs, rng = _references(32, 40, 12)
+    refs += [Empirical.from_samples(rng.beta(2.0, 5.0, 300)) for _ in range(3)]
+    # repeated values, and atoms at 0 and at 1
+    refs.append(Empirical.from_samples(np.round(rng.beta(2.0, 5.0, 300), 2)))
+    refs.append(Empirical.from_samples([0.0, 0.0, 0.25, 0.5, 0.5, 1.0, 1.0]))
+    return refs
+
+
+QUERY_FRACS = (1e-300, 1e-100, 1e-10, 1e-3, 0.05, 0.2, 0.45, 0.7, 0.9, 0.95)
+
+
+@pytest.mark.parametrize("ref", _query_references(), ids=lambda r: f"{len(r.atoms)}")
+def test_level_query_matches_exact_cuts(ref):
+    # at levels up to 0.95 pi0 and at the levels where the iso-revenue curve
+    # meets a step at its atom (tie points); the gap is a difference of sums
+    # of the steps' thresholds, so it keeps fewer digits than log_sum.  At a
+    # tie the slope has a kink, and the two may take different sides of it
+    pi0, _ = max_posted_revenue(ref)
+    ties = [v * h for v, h in zip(ref._values.tolist(), ref._tail[1:].tolist())]
+    levels = [f * pi0 for f in QUERY_FRACS] + [t for t in ties if 0.0 < t <= 0.95 * pi0]
+    for i, pi in enumerate(levels):
+        c, q = cut(ref, pi), level_query(ref, pi)
+        assert q.pi == pi
+        assert q.log_sum > 0.0 and c.intervals
+        assert q.log_sum == pytest.approx(c.log_sum, rel=1e-12, abs=0.0)
+        assert q.gap == pytest.approx(c.gap, rel=1e-10, abs=0.0)
+        if i < len(QUERY_FRACS):
+            assert q.dlog_sum == pytest.approx(c.dlog_sum, rel=1e-15, abs=0.0)
+    # the cut at the tangency level is empty, and its query reads exactly 0
+    assert not cut(ref, pi0).intervals
+    assert level_query(ref, pi0).log_sum == 0.0
+    assert level_query(ref, pi0).dlog_sum == 0.0
+
+
+GOLDEN = 0.6180339887498949
+
+
+def _golden_reference(n: int, decimals: int | None = None) -> Empirical:
+    """A sample of n values (i * golden ratio mod 1)^1.5, with no random draws."""
+    values = (np.arange(1, n + 1) * GOLDEN % 1.0) ** 1.5
+    return Empirical.from_samples(values if decimals is None else np.round(values, decimals))
+
+
+GOLDEN_REFERENCES = {"7": _golden_reference(7), "300": _golden_reference(300, 2),
+                     "10000": _golden_reference(10_000)}
+
+#: (RS k*, RO pi* at the radius whose worst-case revenue is tau, tau_equiv
+#: there, pi_star(k*)) at tau = frac * pi0, as computed when every level of
+#: the searches was an exact cut
+EMPIRICAL_SOLVES = {
+    ("7", 0.05): (0.02887805026123752, 0.010411462966213833, 0.08089119038216118, 7.216916934152439e-16),
+    ("7", 0.45): (0.27604776534155556, 0.09370316669592452, 0.13889619242311535, 0.02108657881704179),
+    ("7", 0.95): (9.663812250849762, 0.1978177963580631, 0.2029790266062696, 0.18775930489809586),
+    ("300", 0.05): (0.023568575233022637, 0.009439999999999995, 0.08460936922402372, 3.6426431688657373e-19),
+    ("300", 0.45): (0.21739118324335407, 0.08496000000000001, 0.14542500118339555, 0.009541891141939084),
+    ("300", 0.95): (1.3490298399336274, 0.17935999999999996, 0.1837270423568927, 0.16653728705112567),
+    ("10000", 0.05): (0.023246370638129833, 0.00929743178327673, 0.08456018976838717, 2.0782991026203193e-19),
+    ("10000", 0.45): (0.21405982576158233, 0.08367688604949054, 0.1447786622667712, 0.008824657975357447),
+    ("10000", 0.95): (1.1482768351267116, 0.17665120388225783, 0.18276444821593357, 0.15925444095945204),
+}
+
+
+def _loop_cut(ref: Empirical, pi: float):
+    intervals, _ = loop_empirical_regions(ref, pi)
+    return [(u, w) for u, w in intervals if w - u >= TANGENCY_WIDTH]
+
+
+@pytest.mark.parametrize("key", list(EMPIRICAL_SOLVES), ids=lambda k: f"{k[0]}-{k[1]}")
+def test_empirical_solves_match_exact_cut_searches_and_loop_oracles(key):
+    name, frac = key
+    ref = GOLDEN_REFERENCES[name]
+    tau = frac * max_posted_revenue(ref)[0]
+    rep = solve(ref, tau)
+    r = radius_for_target(ref, tau)
+    ro = solve_ro(ref, r)
+    got = (rep.k_star, ro.pi_ro_star, tau_equiv(ref, r), pi_star(ref, rep.k_star))
+    assert got == pytest.approx(EMPIRICAL_SOLVES[key], rel=1e-12, abs=0.0)
+    if len(ref.atoms) > 300:
+        return
+    # the atom loop's cuts at the levels found: k* = 1 / log_sum and
+    # k* int ccdf = tau at pi*, gap = r at the RO level, and log_sum = 1/k at
+    # pi_star(k)
+    ivs = _loop_cut(ref, rep.pi_star)
+    assert math.fsum(math.log(w / u) for u, w in ivs) * rep.k_star == pytest.approx(1.0, rel=1e-12)
+    integral = math.fsum(midpoint_ccdf_integral(ref, u, w) for u, w in ivs)
+    assert rep.k_star * integral == pytest.approx(tau, rel=1e-12)
+    ivs = _loop_cut(ref, ro.pi_ro_star)
+    gap = math.fsum(
+        midpoint_ccdf_integral(ref, u, w) - ro.pi_ro_star * math.log(w / u) for u, w in ivs
+    )
+    assert gap == pytest.approx(r, rel=1e-12)
+    ivs = _loop_cut(ref, got[3])
+    assert math.fsum(math.log(w / u) for u, w in ivs) * rep.k_star == pytest.approx(1.0, rel=1e-12)
+
+
+def test_searches_on_a_large_sample_make_few_exact_cuts(monkeypatch):
+    # the floor, the probes and the search read level queries; only the
+    # finishing Newton steps cut (7-18 cuts each when every level was cut)
+    ref = Empirical.from_samples(np.random.default_rng(34).beta(2.0, 5.0, 100_000))
+    pi0, _ = max_posted_revenue(ref)
+    taus = [f * pi0 for f in (0.05, 0.45, 0.95)]
+    radii = [radius_for_target(ref, tau) for tau in taus]
+    levels = []
+    inner = rs_solver.cut
+
+    def recording_cut(d, pi):
+        levels.append(pi)
+        return inner(d, pi)
+
+    monkeypatch.setattr(rs_solver, "cut", recording_cut)
+    for search in [lambda tau=tau: solve(ref, tau) for tau in taus] + [
+        lambda r=r: solve_ro(ref, r) for r in radii
+    ]:
+        levels.clear()
+        search()
+        assert 1 <= len(levels) <= 4
+
+
+def test_threads_building_the_level_table_at_once_get_serial_answers():
+    # more threads than cores, switching often, all making the first level
+    # search of one reference: a race may build the table twice, never mix it
+    values = np.random.default_rng(35).beta(2.0, 5.0, 3_000)
+    tau = 0.45 * max_posted_revenue(Empirical.from_samples(values))[0]
+    want = solve(Empirical.from_samples(values), tau).k_star
+    ref = Empirical.from_samples(values)
+    start, got = threading.Barrier(6), []
+
+    def work():
+        start.wait()
+        got.append(solve(ref, tau).k_star)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [want] * 6
+
+
+@pytest.mark.parametrize("n", [1, 7, 300, 1000])
 @pytest.mark.parametrize(
     "truth",
-    [Beta(2.0, 5.0), Beta(0.5, 0.5), Mixture((Beta(2.0, 10.0), Beta(10.0, 2.0)), (0.85, 0.15))],
-    ids=["beta2_5", "beta.5_.5", "mixture"],
+    [
+        Beta(2.0, 5.0), Beta(0.5, 0.5), Mixture((Beta(2.0, 10.0), Beta(10.0, 2.0)), (0.85, 0.15)),
+        Uniform(), Power(3.0), TruncatedExponential(1.0),
+    ],
+    ids=["beta2_5", "beta.5_.5", "mixture", "uniform", "power3", "texp1"],
 )
 def test_wasserstein_sample_to_continuous_against_dense_grid(n, truth):
     rng = np.random.default_rng(16 + n)
@@ -174,8 +335,28 @@ def test_wasserstein_sample_to_continuous_against_dense_grid(n, truth):
     assert wasserstein_distance(truth, ref) == pytest.approx(oracle, abs=2e-6)
 
 
+@pytest.mark.parametrize("n", [1, 7, 300, 1000])
+@pytest.mark.parametrize(
+    "truth",
+    [
+        Beta(0.5, 0.5), Mixture((Beta(2.0, 10.0), Beta(10.0, 2.0)), (0.85, 0.15)),
+        Uniform(), Power(3.0), TruncatedExponential(1.0),
+    ],
+    ids=["beta.5_.5", "mixture", "uniform", "power3", "texp1"],
+)
+def test_wasserstein_with_repeated_and_end_atoms_against_dense_grid(n, truth):
+    # values on a grid of 0.01 repeat, and atoms at 0 and at 1 start the
+    # first step and end the last one
+    values = np.round(np.random.default_rng(30 + n).beta(2.0, 5.0, size=n), 2)
+    ref = Empirical.from_samples(np.concatenate((values, [0.0, 1.0, 0.0])))
+    oracle = trapezoid_ccdf_distance(ref.ccdf, truth.ccdf)
+    assert wasserstein_distance(ref, truth) == pytest.approx(oracle, abs=2e-6)
+    assert wasserstein_distance(truth, ref) == pytest.approx(oracle, abs=2e-6)
+
+
 def _itp_step_crossings(p, p0, breaks):
-    """``distributions._step_crossings`` refined by ITP steps alone."""
+    """Sign changes of ccdf_p - ccdf_p0 on the segments between ``breaks``
+    when exactly one side is empirical, refined by ITP steps."""
     a, b = breaks[:-1], breaks[1:]
     keep = b - a > 1e-15
     a, b = a[keep], b[keep]
@@ -194,6 +375,22 @@ def _itp_step_crossings(p, p0, breaks):
     return crossings
 
 
+def _itp_wasserstein(p, p0):
+    """W1 between a sample and a continuous law from ITP-refined crossings,
+    with each run of one sign integrated separately: the distance the
+    one-pass kernel replaced."""
+    breaks = distributions._union_breakpoints(p, p0)
+    pts = np.unique(np.concatenate((breaks, _itp_step_crossings(p, p0, breaks))))
+    mids = 0.5 * (pts[:-1] + pts[1:])
+    above = p._ccdf(mids) - p0._ccdf(mids) >= 0.0
+    flips = np.flatnonzero(above[1:] != above[:-1]) + 1
+    ends = pts[np.concatenate(([0], flips, [len(above)]))].tolist()
+    total = 0.0
+    for a, b, up in zip(ends[:-1], ends[1:], above[np.concatenate(([0], flips))]):
+        total += (1.0 if up else -1.0) * (p.ccdf_integral(a, b) - p0.ccdf_integral(a, b))
+    return max(total, 0.0)
+
+
 @pytest.mark.parametrize("n", [300, 1000])
 @pytest.mark.parametrize(
     "truth",
@@ -201,43 +398,23 @@ def _itp_step_crossings(p, p0, breaks):
     ids=["beta2_5", "beta.5_.5", "mixture"],
 )
 def test_newton_step_crossings_match_itp_in_few_evaluations(n, truth, monkeypatch):
-    # a sample of the law itself crosses it inside many steps; each crossing
-    # costs the iterations of its root search, one CCDF evaluation each
+    # a sample of the law itself crosses it inside many steps; the one-pass
+    # distance reads each crossing off the law's quantile, so no root search
+    # runs (and none past the largest atom, where the difference ends at 0).
+    # The two put a crossing up to a few ulps apart, and the CCDF integral
+    # at each (up to 0.5) rounds differently there: on Beta(0.5, 0.5) at
+    # n = 1000 (69 crossings, W1 = 0.0061) that moves W1 by 1.7e-15, while
+    # both lie 6e-15 to 8e-15 from its 40-digit value
     ref = Empirical.from_samples(truth.sample(n, np.random.default_rng(26)))
-    evaluations, search = [], distributions.bisect_root
+    want = _itp_wasserstein(ref, truth)
 
-    def counting(*args, **kwargs):
-        res = search(*args, **kwargs)
-        evaluations.append(res.iterations)
-        return res
+    def no_search(*args, **kwargs):
+        raise AssertionError("a crossing was refined by a root search")
 
     with monkeypatch.context() as patch:
-        patch.setattr(distributions, "bisect_root", counting)
-        got = wasserstein_distance(ref, truth)
-    assert len(evaluations) >= 5 and np.median(evaluations) <= 5
-    monkeypatch.setattr(distributions, "_step_crossings", _itp_step_crossings)
-    assert got == pytest.approx(wasserstein_distance(ref, truth), rel=1e-13, abs=0.0)
-
-
-def test_no_crossing_is_refined_past_the_largest_atom(monkeypatch):
-    # the CCDF is exactly 0 from the largest atom on, although 300 masses of
-    # 1/300 sum to 1 - 2.3e-15: the step there meets the law's tail only at
-    # x = 1, where the difference is an exact zero, and is not refined (it
-    # was refined to a phantom crossing at 0.99917 in 18 iterations)
-    truth = Beta(2.0, 5.0)
-    ref = Empirical.from_samples(truth.sample(300, np.random.default_rng(28)))
-    top = ref.atoms[-1][0]
-    assert ref.ccdf(top) == 0.0
-    searches, search = [], distributions.bisect_root
-
-    def recording(f, lo, hi, **kwargs):
-        res = search(f, lo, hi, **kwargs)
-        searches.append((lo, res.iterations))
-        return res
-
-    monkeypatch.setattr(distributions, "bisect_root", recording)
-    wasserstein_distance(ref, truth)
-    assert searches and all(its == 0 for lo, its in searches if lo == top)
+        patch.setattr(numerics, "bisect_root", no_search)
+        got = wasserstein_distance(ref, truth), wasserstein_distance(truth, ref)
+    assert got[0] == got[1] == pytest.approx(want, rel=1e-13, abs=4e-15)
 
 
 @pytest.mark.parametrize("shape", [(2.0, 5.0), (0.5, 0.5), (10.0, 2.0), (1.0, 1.0)])
