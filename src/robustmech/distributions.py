@@ -27,7 +27,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .errors import DomainError, any_outside, check_count
-from .numerics import adaptive_simpson, refine_crossing
+from .numerics import adaptive_simpson, bisect_root
 
 __all__ = [
     "ValuationDistribution",
@@ -78,11 +78,6 @@ def _maybe_scalar(out, scalar):
 
 class ValuationDistribution:
     """Base class: a probability distribution supported on [0, 1]."""
-
-    #: True when the revenue curve x * ccdf(x) is known to be quasi-concave
-    #: (increasing virtual valuation), enabling the two-price iso-revenue
-    #: characterization in the posted-price solver.
-    is_regular = False
 
     def _ccdf(self, xs: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -184,8 +179,6 @@ TrueDistribution = ValuationDistribution
 class Uniform(ValuationDistribution):
     """Uniform distribution on [0, 1]."""
 
-    is_regular = True
-
     def _ccdf(self, xs):
         return 1.0 - xs
 
@@ -210,8 +203,6 @@ class Power(ValuationDistribution):
     """CDF x**alpha on [0, 1] with alpha >= 1 (alpha = 1 is uniform)."""
 
     alpha: float
-
-    is_regular = True
 
     def __post_init__(self):
         if not (math.isfinite(self.alpha) and self.alpha >= 1.0):
@@ -244,8 +235,6 @@ class TruncatedExponential(ValuationDistribution):
     """Exponential with the given rate, truncated and renormalized to [0, 1]."""
 
     rate: float
-
-    is_regular = True
 
     def __post_init__(self):
         if not (math.isfinite(self.rate) and self.rate > 0.0):
@@ -316,11 +305,6 @@ class Beta(ValuationDistribution):
     def __reduce__(self):
         # rebuild through __init__, so an unpickled Beta binds scipy too
         return type(self), (self.alpha, self.beta)
-
-    @property
-    def is_regular(self):
-        # log-concave density, hence increasing hazard rate
-        return self.alpha >= 1.0 and self.beta >= 1.0
 
     def _ccdf(self, xs):
         a, b = self.alpha, self.beta
@@ -620,7 +604,7 @@ def _polish(p, q, z, w, lo, hi):
             a, b, fa, fb = 0.0, a, -wi, fa
         elif not fb >= 0.0:
             a, b, fa, fb = b, 1.0, fb, 1.0 - wi
-        z[i] = b if math.nextafter(a, 1.0) >= b else refine_crossing(f, a, b, flo=fa, fhi=fb)
+        z[i] = b if math.nextafter(a, 1.0) >= b else bisect_root(f, a, b, flo=fa, fhi=fb).root
     return z
 
 
@@ -776,6 +760,7 @@ class Empirical(ValuationDistribution):
             ("_tail", tail),
             ("_prefix", prefix),
             ("_steps", steps),
+            ("_mean", float(np.dot(values, masses))),
             # the caches keyed on distributions would rehash the atoms each call
             ("_hash", hash((atoms,))),
         ):
@@ -796,7 +781,7 @@ class Empirical(ValuationDistribution):
         return self._tail[np.searchsorted(self._values, xs, side="left")]
 
     def mean(self):
-        return float(np.dot(self._values, self._masses))
+        return self._mean
 
     def _integrals(self, a, b):
         knots, tail, prefix = self._knots, self._tail, self._prefix
@@ -915,7 +900,7 @@ def max_posted_revenue(dist: ValuationDistribution) -> tuple[float, float]:
     hi = min(float(xs[min(i + 1, len(xs) - 1)]), math.nextafter(1.0, 0.0))
     slope = partial(_revenue_slope, dist)
     flo, fhi = slope(lo), slope(hi)
-    p = refine_crossing(slope, lo, hi, flo=flo, fhi=fhi) if flo > 0.0 > fhi else float(xs[i])
+    p = bisect_root(slope, lo, hi, flo=flo, fhi=fhi).root if flo > 0.0 > fhi else float(xs[i])
     val = p * float(dist._ccdf(np.asarray(p)))
     if val < float(g[i]):
         p, val = float(xs[i]), float(g[i])
@@ -981,7 +966,7 @@ def _scanned_crossings(p, p0, breaks) -> list[float]:
         sign = np.where(d >= 0.0, 1, -1)
         flips = np.flatnonzero((sign[1:] * sign[:-1]) < 0)
         for j in flips:
-            crossings.append(refine_crossing(diff, float(xs[j]), float(xs[j + 1])))
+            crossings.append(bisect_root(diff, float(xs[j]), float(xs[j + 1])).root)
     return crossings
 
 

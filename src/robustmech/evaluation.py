@@ -26,7 +26,7 @@ from .distributions import (
 from .errors import DomainError, InfeasibleTargetError, check_count
 from .isorevenue import cut
 from .mechanisms import Mechanism, PostedPrice
-from .numerics import refine_crossing
+from .numerics import bisect_root
 from .pp_solver import solve_pp
 from .records import Record
 from .ro_solver import build_ro_mechanism, radius_for_target, ro_pp_price
@@ -232,7 +232,7 @@ def crossing_thresholds(
         else:
             # both ends lie outside the zero band, with opposite signs
             lo, hi, flo, fhi = bracket
-            out.append(refine_crossing(lambda v: fa(v) - fb(v), lo, hi, flo=flo, fhi=fhi))
+            out.append(bisect_root(lambda v: fa(v) - fb(v), lo, hi, flo=flo, fhi=fhi).root)
         counts.append(changes)
     return CrossingThresholds(out[0], out[1], out[2], counts[0], counts[1], counts[2])
 

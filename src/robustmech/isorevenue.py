@@ -201,6 +201,13 @@ def _monotone_runs(dist: ValuationDistribution):
     return runs
 
 
+def _single_hump(dist: ValuationDistribution) -> bool:
+    """Whether every cut of ``dist`` is at most one interval: a continuous
+    reference whose revenue grid rises, then falls (at most two monotone
+    runs, the runs ``_crossing_cells`` reads)."""
+    return not isinstance(dist, Empirical) and len(_monotone_runs(dist)[1]) <= 2
+
+
 def _crossing_cells(dist: ValuationDistribution, pi: float) -> list[tuple[int, bool]]:
     """Cells [xs[j], xs[j + 1]] of the cached grid where g = x * ccdf(x)
     crosses pi, in order, each with whether g rises through pi there.
@@ -250,7 +257,7 @@ def _continuous_regions(dist: ValuationDistribution, pi: float):
         ends[rises].append((x, 1.0 / xg if xg else (math.inf if rises else -math.inf)))
 
     def refine(rises: bool, lo: float, hi: float, flo: float, fhi: float, dflo=None) -> None:
-        res = bisect_root(f, lo, hi, xtol=0.0, max_iter=1200, flo=flo, fhi=fhi, df=df, dflo=dflo)
+        res = bisect_root(f, lo, hi, flo=flo, fhi=fhi, df=df, dflo=dflo)
         add(rises, res.root, res.slope)
 
     if g[0] >= pi:

@@ -16,7 +16,6 @@ from typing import Callable, Sequence
 
 from .errors import BracketError
 
-ROOT_XTOL = 1e-12
 QUAD_TOL = 1e-10
 QUAD_MAX_DEPTH = 60
 
@@ -36,8 +35,8 @@ def bisect_root(
     lo: float,
     hi: float,
     *,
-    xtol: float = ROOT_XTOL,
-    max_iter: int = 200,
+    xtol: float = 0.0,
+    max_iter: int = 1200,
     flo: float | None = None,
     fhi: float | None = None,
     df: Callable[[float], float] | None = None,
@@ -52,7 +51,9 @@ def bisect_root(
     midpoint budgeted (n0 = 1) from the float spacing at the ends or xtol:
     at most one step more than bisection reaches that width.  A step is the
     midpoint at an infinite end value, outside (a, b) and once the budget is
-    spent.  It stops at an exact zero, at ``xtol`` or at adjacent floats.
+    spent.  It stops at an exact zero, at ``xtol`` (0 by default) or at
+    adjacent floats; the default cap allows for roots many orders below the
+    bracket width.
 
     With ``df``, each point is the Newton step from the last one (an end of
     the bracket; the first from ``lo``, with slope ``dflo`` or else the
@@ -137,20 +138,6 @@ def bisect_root(
         if b - a <= xtol:
             return RootResult(0.5 * (a + b), it, fx, True, dfx)
     return RootResult(mid, max_iter, fx, False, dfx)
-
-
-def refine_crossing(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    *,
-    flo: float | None = None,
-    fhi: float | None = None,
-) -> float:
-    """Refine a bracketed sign change by ITP steps down to adjacent floats;
-    the iteration cap allows for roots many orders below the bracket width."""
-    res = bisect_root(f, lo, hi, xtol=0.0, max_iter=1200, flo=flo, fhi=fhi)
-    return res.root
 
 
 def _simpson(fa, fm, fb, h):

@@ -7,13 +7,15 @@ buyers contribute the full price.  It is increasing in k and piecewise
 linear in p for empirical references, with kinks only at {k/(k+1) * atom}
 and the atoms themselves.
 
-On a regular reference the optimal price for fragility k is the lower end u
-of the single-interval iso-revenue cut [u, w] with w/u = (k+1)/k, so both
-searches are ``rs_solver.level_search`` over the cut level: for a given k,
-it is the ``pi_star`` cut of log-ratio ln((k+1)/k); for a target tau, it
+When the revenue curve g(x) = x ccdf(x) has a single hump (an increasing
+hazard rate is sufficient, not needed), the optimal price for fragility k is
+the lower end u of the one-interval iso-revenue cut [u, w] with w/u = (k+1)/k.
+The test is the cut's own revenue grid (``isorevenue._single_hump``), and
+both searches are ``rs_solver.level_search`` over the cut level: for a given
+k, it is the ``pi_star`` cut of log-ratio ln((k+1)/k); for a target tau, it
 solves rho_pp = u/(w - u) * int_u^w ccdf = tau, with p = u and k = u/(w - u),
 by Newton steps on its slope dlog_sum k (pi - w/(w - u) int_u^w ccdf).
-Other references (empirical, irregular, or a root cut that rounds to the
+Other references (empirical, several humps, or a root cut that rounds to the
 tangency at pi0) search log k directly, pricing each k by exact candidates,
 or by a 1,001-point array pass of rho_pp (the guard: rho_pp can have several
 local maxima in p) whose CCDF integrals from 0 to the grid prices are cached
@@ -34,7 +36,7 @@ import numpy as np
 
 from .distributions import Empirical, ValuationDistribution, max_posted_revenue
 from .errors import DomainError, check_target
-from .isorevenue import cut  # noqa: F401  (bench/spans.py patches this name)
+from .isorevenue import _single_hump, cut  # noqa: F401  (bench/spans.py patches cut)
 from .mechanisms import PostedPrice
 from .numerics import bisect_root
 from .records import Record
@@ -60,8 +62,9 @@ class PPSolveReport(Record):
     mechanism: PostedPrice
     iterations: int
     residual: float
-    #: "regular" (level search on the cut), "scan" (grid and slope root search
-    #: per k), "empirical" (exact candidates per k) or "closed_form" (two atoms)
+    #: "regular" (level search on the one-interval cut of a single-hump
+    #: reference), "scan" (grid and slope root search per k), "empirical"
+    #: (exact candidates per k) or "closed_form" (two atoms)
     path: str
     warnings: tuple[str, ...] = field(default=())
 
@@ -136,8 +139,6 @@ def _optimal_price_scan(dist: ValuationDistribution, k: float) -> float:
         partial(_price_slope, dist, k=k),
         lo,
         hi,
-        xtol=0.0,
-        max_iter=1200,
         flo=flo,
         fhi=fhi,
         df=partial(_price_slope_dp, dist, k=k),
@@ -160,7 +161,7 @@ def optimal_price_given_k(dist: ValuationDistribution, k: float) -> float:
                 i = int(np.argmax(revs))
                 best = min(best, (-float(revs[i]), float(cands[i])))
         return best[1]
-    if dist.is_regular:
+    if _single_hump(dist):
         # the cut whose price ratio w/u is (k+1)/k
         c = _pi_star_cut(dist, 1.0 / math.log1p(1.0 / k))
         if c.count == 1:
@@ -173,7 +174,7 @@ def solve_pp(dist: ValuationDistribution, tau: float) -> PPSolveReport:
     pi0, _ = max_posted_revenue(dist)
     check_target(tau, pi0)
     c = None
-    if dist.is_regular:
+    if _single_hump(dist):
         # rho_pp at p = u and k = u/(w - u) is k int_u^w ccdf = k (gap + pi log_sum);
         # with x ccdf(x) = pi at both ends the integral moves with the level as
         # pi dlog_sum, and k as -u w dlog_sum / (w - u)^2; the empty cut at pi0 is +inf
@@ -195,9 +196,9 @@ def solve_pp(dist: ValuationDistribution, tau: float) -> PPSolveReport:
         p, k_pp, it, path = u, u / (w - u), res.iterations if res else 0, "regular"
         rho = rho_pp(dist, p, k_pp)
     else:
-        # an irregular reference, or the cut at the root rounds to the
-        # tangency at pi0: search log k, which bounds the relative error of k
-        # at every scale; each evaluation keeps its k, price and revenue
+        # an empirical reference, several humps, or the cut at the root rounds
+        # to the tangency at pi0: search log k, which bounds the relative error
+        # of k at every scale; each evaluation keeps its k, price and revenue
         evals: list[tuple[float, float, float]] = []
 
         def price(k: float) -> float:
@@ -221,7 +222,9 @@ def solve_pp(dist: ValuationDistribution, tau: float) -> PPSolveReport:
         if f_hi > 0.0:
             t_lo = math.log(tau / dist.mean())
             f_lo = f(t_lo)
-            bisect_root(f, t_lo, math.log(k_hi), flo=f_lo, fhi=f_hi, df=df, dflo=df(t_lo))
+            bisect_root(
+                f, t_lo, math.log(k_hi), xtol=1e-12, flo=f_lo, fhi=f_hi, df=df, dflo=df(t_lo)
+            )
         # f is increasing, so the evaluation nearest the target is an end of
         # the last bracket, within the 1e-12 stop of the root
         k_pp, p, rho = min(evals, key=lambda e: abs(e[2] - tau))

@@ -121,7 +121,7 @@ def level_search(
             lo, flo, dflo = t, e, df(t)
             break
         hi, fhi = t, e
-    res = bisect_root(f, lo, hi, xtol=0.0, flo=flo, fhi=fhi, df=df, dflo=dflo)
+    res = bisect_root(f, lo, hi, flo=flo, fhi=fhi, df=df, dflo=dflo)
     if queried:
         evaluate = partial(cut, dist)
         t, e = res.root, f(res.root)

@@ -12,7 +12,16 @@ import mpmath
 import numpy as np
 from scipy.special import betaincinv
 
-from robustmech import Beta, DomainError, Empirical, Mixture, Power, TruncatedExponential, Uniform
+from robustmech import (
+    Beta,
+    DomainError,
+    Empirical,
+    Mixture,
+    Power,
+    TruncatedExponential,
+    Uniform,
+    ValuationDistribution,
+)
 
 
 def sorted_quantile_transport(p: Empirical, q: Empirical) -> float:
@@ -235,3 +244,23 @@ def mp_cdf(dist, x) -> mpmath.mpf:
     if isinstance(dist, Mixture):
         return mpmath.fsum(mpmath.mpf(w) * mp_cdf(c, x) for w, c in zip(dist.weights, dist.components))
     raise TypeError(f"no 50-digit CDF for {dist!r}")
+
+
+class TruncatedPareto(ValuationDistribution):
+    """Pareto-shaped CDF (8/7)(1 - (1+x)^-3) on [0, 1].
+
+    Regular (increasing virtual valuation) but with a non-monotone hazard
+    rate; exercises the generic CCDF fallbacks of the base class.
+    """
+
+    def _ccdf(self, xs):
+        return 1.0 - (8.0 / 7.0) * (1.0 - (1.0 + xs) ** -3.0)
+
+    def __eq__(self, other):
+        return isinstance(other, TruncatedPareto)
+
+    def __hash__(self):
+        return hash("truncated_pareto_8_7_3")
+
+    def to_json(self):
+        return {"kind": "truncated_pareto"}

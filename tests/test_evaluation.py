@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from helpers import TruncatedPareto
 
 from robustmech import (
     Beta,
@@ -14,7 +15,6 @@ from robustmech import (
     SweepConfig,
     Uniform,
     UnsupportedReferenceError,
-    ValuationDistribution,
     beta_sweep,
     build_ro_mechanism,
     crossing_thresholds,
@@ -60,28 +60,6 @@ def _one_pass_allocation(mech, vs):
         )
     out = np.minimum(mech.slope * (np.asarray(mech._cum_log)[j_w] + extra), 1.0)
     return np.where(vs >= ws[-1], 1.0, out)
-
-
-class TruncatedPareto(ValuationDistribution):
-    """Pareto-shaped CDF (8/7)(1 - (1+x)^-3) on [0, 1].
-
-    Regular (increasing virtual valuation) but with a non-monotone hazard
-    rate; exercises the generic CCDF fallbacks of the base class.
-    """
-
-    is_regular = True
-
-    def _ccdf(self, xs):
-        return 1.0 - (8.0 / 7.0) * (1.0 - (1.0 + xs) ** -3.0)
-
-    def __eq__(self, other):
-        return isinstance(other, TruncatedPareto)
-
-    def __hash__(self):
-        return hash("truncated_pareto_8_7_3")
-
-    def to_json(self):
-        return {"kind": "truncated_pareto"}
 
 
 class TestTruncatedPareto:

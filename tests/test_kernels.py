@@ -4,8 +4,9 @@ built on it.
 Each family's closed form is checked against the scalar ``ccdf_integral``
 and against ``scipy.integrate.quad`` of the family's ``_ccdf``; the custom
 subclass fallback against a known closed form; the scan price against the
-slope of rho_pp in p and a 20,001-point price grid; the scan-path fragility
-against values pinned from the golden-section scan it replaced.
+slope of rho_pp in p and a 20,001-point price grid; the posted-price
+fragility, on the path each reference takes, against values pinned from the
+golden-section scan that the grid scan replaced.
 """
 
 import warnings
@@ -23,7 +24,7 @@ from robustmech import (
     Uniform,
     ValuationDistribution,
     max_posted_revenue,
-    optimal_price_given_k,
+    pp_solver,
     rho_pp,
     solve_pp,
 )
@@ -160,7 +161,7 @@ class TestScanPrice:
     @pytest.mark.parametrize("k", [0.05, 0.9, 10.0])
     def test_slope_vanishes(self, name, k):
         dist = SCAN_REFERENCES[name]
-        assert abs(slope(dist, optimal_price_given_k(dist, k), k)) <= 1e-12
+        assert abs(slope(dist, pp_solver._optimal_price_scan(dist, k), k)) <= 1e-12
 
     @pytest.mark.parametrize("name", list(SCAN_REFERENCES))
     @pytest.mark.parametrize("k", [0.05, 0.9, 10.0])
@@ -168,13 +169,13 @@ class TestScanPrice:
         dist = SCAN_REFERENCES[name]
         ps = np.linspace(0.0, 1.0, 20_001)
         best = float(np.max(k * dist._integrals(ps, np.minimum((1.0 + 1.0 / k) * ps, 1.0))))
-        assert rho_pp(dist, optimal_price_given_k(dist, k), k) >= best - 1e-12
+        assert rho_pp(dist, pp_solver._optimal_price_scan(dist, k), k) >= best - 1e-12
 
     def test_bimodal_picks_global_hump(self):
         # at k = 0.9 rho_pp has local maxima near p = 0.117 and p = 0.396;
         # the lower one is higher by about 1.2e-3
         k = 0.9
-        p = optimal_price_given_k(BIMODAL, k)
+        p = pp_solver._optimal_price_scan(BIMODAL, k)
         ps = np.linspace(0.25, 1.0, 7_501)
         other = float(np.max(k * BIMODAL._integrals(ps, np.minimum((1.0 + 1.0 / k) * ps, 1.0))))
         assert p < 0.25
@@ -187,6 +188,7 @@ PINNED_K_PP = {
     "bimodal": (0.018708972930778143, 0.43270079720898325, 9.988221619339962),
     "irregular": (0.03824866865463705, 0.5589747534887597, 10.002660221167316),
 }
+PP_PATHS = {"beta.5_.5": "regular", "bimodal": "scan", "irregular": "regular"}
 
 
 @pytest.mark.parametrize("name", list(PINNED_K_PP))
@@ -194,5 +196,5 @@ PINNED_K_PP = {
 def test_scan_path_k_pp_pinned(name, i, frac):
     dist = SCAN_REFERENCES[name]
     rep = solve_pp(dist, frac * max_posted_revenue(dist)[0])
-    assert rep.path == "scan"
+    assert rep.path == PP_PATHS[name]
     assert rep.k_pp == pytest.approx(PINNED_K_PP[name][i], rel=1e-12, abs=0.0)

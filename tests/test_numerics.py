@@ -3,11 +3,7 @@ import math
 import pytest
 
 from robustmech.errors import BracketError
-from robustmech.numerics import (
-    adaptive_simpson,
-    bisect_root,
-    refine_crossing,
-)
+from robustmech.numerics import adaptive_simpson, bisect_root
 
 
 def test_bisect_linear_root():
@@ -26,14 +22,14 @@ def test_bisect_requires_sign_change():
         bisect_root(lambda x: x + 1.0, 0.0, 1.0)
 
 
-def test_refine_crossing_full_precision():
-    root = refine_crossing(lambda x: x * x - 2.0, 1.0, 2.0)
+def test_bisect_default_full_precision():
+    root = bisect_root(lambda x: x * x - 2.0, 1.0, 2.0).root
     assert root == pytest.approx(math.sqrt(2.0), abs=1e-14)
 
 
-def test_refine_crossing_in_a_subnormal_bracket():
+def test_bisect_default_in_a_subnormal_bracket():
     # half an ulp of the bracket's ends rounds to 0 below 2**-1021
-    root = refine_crossing(lambda x: x - 1e-310, 0.0, 3e-308)
+    root = bisect_root(lambda x: x - 1e-310, 0.0, 3e-308).root
     assert math.nextafter(root, 0.0) <= 1e-310 <= math.nextafter(root, 1.0)
 
 
@@ -79,20 +75,20 @@ def test_bisect_worst_case_within_one_step_of_bisection(shape, root):
     def f(x):
         return shape(x, root)
 
-    res = bisect_root(f, 0.0, 1.0, xtol=0.0)
+    res = bisect_root(f, 0.0, 1.0)
     assert res.converged
     assert abs(res.root - root) <= 2.0 * math.ulp(root)
     assert res.iterations <= _plain_bisection_steps(f, 0.0, 1.0) + 1
 
 
 def test_bisect_smooth_root_is_superlinear():
-    res = bisect_root(lambda x: x * x - 2.0, 1.0, 2.0, xtol=0.0)
+    res = bisect_root(lambda x: x * x - 2.0, 1.0, 2.0)
     assert abs(res.root - math.sqrt(2.0)) <= math.ulp(math.sqrt(2.0))
     assert res.iterations <= 12
 
 
 def test_bisect_infinite_end_values_converge():
-    res = bisect_root(lambda x: math.log(x) + 1.0, 0.0, 5.0, xtol=0.0, flo=-math.inf, fhi=math.inf)
+    res = bisect_root(lambda x: math.log(x) + 1.0, 0.0, 5.0, flo=-math.inf, fhi=math.inf)
     assert res.converged
     assert res.root == pytest.approx(math.exp(-1.0), rel=1e-15)
 
@@ -107,10 +103,10 @@ def test_newton_steps_from_the_derivative():
     def f(x):
         return x * x - 2.0
 
-    res = bisect_root(f, 1.0, 2.0, xtol=0.0, df=lambda x: 2.0 * x)
+    res = bisect_root(f, 1.0, 2.0, df=lambda x: 2.0 * x)
     assert abs(res.root - math.sqrt(2.0)) <= math.ulp(math.sqrt(2.0))
     assert _certified(f, res.root)
-    assert res.iterations <= 7 < bisect_root(f, 1.0, 2.0, xtol=0.0).iterations + 3
+    assert res.iterations <= 7 < bisect_root(f, 1.0, 2.0).iterations + 3
     assert res.slope == pytest.approx(2.0 * res.root, rel=1e-15)
 
 
@@ -123,8 +119,8 @@ def test_newton_on_a_power_law_tail_takes_no_more_steps_than_itp(pi):
     def df(x):
         return (1.0 - x) ** 5 - 5.0 * x * (1.0 - x) ** 4
 
-    newton = bisect_root(f, 0.9, 1.0, xtol=0.0, max_iter=1200, df=df)
-    itp = bisect_root(f, 0.9, 1.0, xtol=0.0, max_iter=1200)
+    newton = bisect_root(f, 0.9, 1.0, df=df)
+    itp = bisect_root(f, 0.9, 1.0)
     assert newton.root == itp.root
     assert _certified(f, newton.root)
     assert newton.iterations <= itp.iterations
@@ -132,7 +128,7 @@ def test_newton_on_a_power_law_tail_takes_no_more_steps_than_itp(pi):
 
 def test_newton_toward_an_infinite_end_value():
     res = bisect_root(
-        lambda t: math.log(t) + 1.0, 0.01, 5.0, xtol=0.0,
+        lambda t: math.log(t) + 1.0, 0.01, 5.0,
         flo=math.log(0.01) + 1.0, fhi=math.inf, df=lambda t: 1.0 / t, dflo=100.0,
     )
     assert res.root == pytest.approx(math.exp(-1.0), rel=1e-15)

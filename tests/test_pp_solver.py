@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import TruncatedPareto
 
 from robustmech import (
     Beta,
@@ -17,6 +18,7 @@ from robustmech import (
     optimal_price_given_k,
     pp_solver,
     rho_pp,
+    rs_solver,
     solve,
     solve_pp,
     solve_pp_two_point,
@@ -220,7 +222,11 @@ class TestFallbackSearch:
     @pytest.mark.parametrize("frac", TARGET_FRACS)
     @pytest.mark.parametrize("dist", [Beta(0.5, 0.5), BIMODAL], ids=["beta.5_.5", "bimodal"])
     def test_prices_at_most_twelve_k(self, dist, frac, monkeypatch):
-        # the two ends included
+        # the two ends included.  The search also serves single-hump
+        # references whose root cut rounds to the tangency, so Beta(0.5, 0.5),
+        # with its unbounded density at both ends, is searched with the
+        # single-hump test switched off
+        monkeypatch.setattr(pp_solver, "_single_hump", lambda dist: False)
         calls = _count_prices(monkeypatch)
         tau = frac * max_posted_revenue(dist)[0]
         rep = solve_pp(dist, tau)
@@ -281,6 +287,47 @@ class TestFallbackSearch:
         got = QuadraticCCDF()._integrals(0.0, ps)
         assert got.shape == ps.shape
         assert got == pytest.approx(ps - ps**3 / 3.0, rel=1e-14, abs=1e-300)
+
+
+#: single-hump revenue curves without an increasing hazard rate
+SINGLE_HUMP = {
+    "beta.5_.5": Beta(0.5, 0.5),
+    "beta.5_3": Beta(0.5, 3.0),
+    "beta3_.5": Beta(3.0, 0.5),
+    "irregular": IRREGULAR,
+}
+
+
+class TestSingleHump:
+    """References whose revenue grid has one hump take the level search on
+    the one-interval cut, and agree with the 1,001-point scan."""
+
+    @pytest.mark.parametrize("frac", TARGET_FRACS)
+    def test_beta_half_half_takes_at_most_eighteen_cuts(self, frac, monkeypatch):
+        # the floor included
+        cuts = []
+        exact = rs_solver.cut
+
+        def counted(dist, pi):
+            cuts.append(pi)
+            return exact(dist, pi)
+
+        monkeypatch.setattr(rs_solver, "cut", counted)
+        dist = SINGLE_HUMP["beta.5_.5"]
+        tau = frac * max_posted_revenue(dist)[0]
+        rep = solve_pp(dist, tau)
+        assert rep.path == "regular"
+        assert len(cuts) <= 18
+        assert abs(rep.residual) <= 5e-13 * tau
+
+    @pytest.mark.parametrize("k", np.logspace(-3.0, 4.0, 29).tolist())
+    @pytest.mark.parametrize("name", list(SINGLE_HUMP))
+    def test_price_matches_the_scan(self, name, k):
+        # above k = 100, rho_pp's own rounding moves the two apart either way
+        dist = SINGLE_HUMP[name]
+        rho = rho_pp(dist, optimal_price_given_k(dist, k), k)
+        scanned = rho_pp(dist, pp_solver._optimal_price_scan(dist, k), k)
+        assert abs(rho - scanned) <= (1e-13 if k <= 100.0 else 2e-11) * scanned
 
 
 class TestTwoPointClosedForm:
@@ -344,14 +391,22 @@ class TestPath:
         "dist,path",
         [
             (Beta(2.0, 5.0), "regular"),
-            (Beta(0.5, 0.5), "scan"),
-            (Mixture((Beta(2.0, 10.0), Beta(10.0, 2.0)), (0.85, 0.15)), "scan"),
+            (Beta(0.5, 0.5), "regular"),
+            (Beta(0.5, 3.0), "regular"),
+            (Beta(3.0, 0.5), "regular"),
+            (IRREGULAR, "regular"),
+            (QuadraticCCDF(), "regular"),
+            (TruncatedPareto(), "regular"),
+            (BIMODAL, "scan"),
             (
                 Empirical.from_samples(np.random.default_rng(7).beta(2.0, 5.0, 300)),
                 "empirical",
             ),
         ],
-        ids=["beta2_5", "beta.5_.5", "bimodal", "empirical300"],
+        ids=[
+            "beta2_5", "beta.5_.5", "beta.5_3", "beta3_.5", "irregular", "quadratic",
+            "truncated_pareto", "bimodal", "empirical300",
+        ],
     )
     def test_solve_pp_reports_path(self, dist, path):
         rep = solve_pp(dist, 0.45 * max_posted_revenue(dist)[0])

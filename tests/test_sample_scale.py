@@ -50,10 +50,10 @@ from robustmech import (
     tau_equiv,
     wasserstein_distance,
 )
-from robustmech import distributions, numerics, rs_solver
+from robustmech import distributions, rs_solver
 from robustmech.evaluation import SweepConfig
 from robustmech.isorevenue import level_query
-from robustmech.numerics import refine_crossing
+from robustmech.numerics import bisect_root
 
 TANGENCY_WIDTH = 1e-9
 
@@ -370,7 +370,7 @@ def _itp_step_crossings(p, p0, breaks):
             return sign * (lv - float(other._ccdf(np.asarray(x))))
 
         crossings.append(
-            refine_crossing(diff, float(a[j]), float(b[j]), flo=float(d_a[j]), fhi=float(d_b[j]))
+            bisect_root(diff, float(a[j]), float(b[j]), flo=float(d_a[j]), fhi=float(d_b[j])).root
         )
     return crossings
 
@@ -412,7 +412,7 @@ def test_newton_step_crossings_match_itp_in_few_evaluations(n, truth, monkeypatc
         raise AssertionError("a crossing was refined by a root search")
 
     with monkeypatch.context() as patch:
-        patch.setattr(numerics, "bisect_root", no_search)
+        patch.setattr(distributions, "bisect_root", no_search)
         got = wasserstein_distance(ref, truth), wasserstein_distance(truth, ref)
     assert got[0] == got[1] == pytest.approx(want, rel=1e-13, abs=4e-15)
 
