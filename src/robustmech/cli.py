@@ -77,8 +77,7 @@ def _mechanism_table(mech: Mechanism, points: int) -> list[list[float]]:
     ]
 
 
-def _write_table(mech: Mechanism, path: str, points: int) -> None:
-    rows = _mechanism_table(mech, points)
+def _write_table(rows: list[list[float]], path: str) -> None:
     lines = ["v,q,m,surplus"]
     lines.extend(f"{v!r},{q!r},{m!r},{s!r}" for v, q, m, s in rows)
     Path(path).write_text("\n".join(lines) + "\n")
@@ -109,10 +108,10 @@ def _cmd_solve(args) -> int:
     report = getattr(module, name)(ref, getattr(args, arg))
     out = _base_report(args, ref)
     out.update(report.to_json())
-    out["mechanism_table"] = _mechanism_table(report.mechanism, args.table_points)
+    out["mechanism_table"] = rows = _mechanism_table(report.mechanism, args.table_points)
     _emit(out, args.out)
     if args.table:
-        _write_table(report.mechanism, args.table, args.table_points)
+        _write_table(rows, args.table)
     return EXIT_OK
 
 

@@ -129,19 +129,23 @@ class ValuationDistribution:
 
     def _integrals(self, a, b):
         """Integrals of the CCDF over [a, b], elementwise for a <= b: each family's
-        closed form, or here adaptive Simpson once per element."""
+        closed form, or here adaptive Simpson once per element; from a scalar
+        lower end, once per gap between the sorted upper ends, summed (the
+        posted-price scan's grids, whose gaps are narrow)."""
         def one(lo, hi):
-            return adaptive_simpson(
-                lambda t: float(self._ccdf(np.asarray(t))), lo, hi, split_points=self.kink_points()
-            )
+            return adaptive_simpson(lambda t: float(self._ccdf(np.asarray(t))), lo, hi)
 
         if np.ndim(a) == np.ndim(b) == 0:
             return one(a, b)
-        return np.vectorize(one, otypes=[float])(a, b)
-
-    def kink_points(self) -> tuple[float, ...]:
-        """Interior points where the CCDF is non-smooth (atoms, mixture seams)."""
-        return ()
+        many = np.vectorize(one, otypes=[float])
+        if np.ndim(a) == 0:
+            b = np.asarray(b, dtype=float)
+            order = np.argsort(b, axis=None)
+            ends = np.concatenate(([a], np.maximum(b.ravel()[order], a)))
+            out = np.empty(b.size)
+            out[order] = np.cumsum(many(ends[:-1], ends[1:]))
+            return out.reshape(b.shape)
+        return many(a, b)
 
     def quantile(self, u):
         """Inverse CDF; accepts scalars or arrays of probabilities."""
@@ -645,12 +649,6 @@ class Mixture(ValuationDistribution):
     def _integrals(self, a, b):
         return sum(w * c._integrals(a, b) for w, c in zip(self.weights, self.components))
 
-    def kink_points(self):
-        pts: list[float] = []
-        for c in self.components:
-            pts.extend(c.kink_points())
-        return tuple(sorted(set(pts)))
-
     def sample(self, n, rng):
         """n draws: each draw's component from n uniforms, then that
         component's quantile at n more.
@@ -793,10 +791,6 @@ class Empirical(ValuationDistribution):
         spread = (knots[nxt] - a) * tail[i] + (prefix[j] - prefix[nxt]) + (b - knots[j]) * tail[j]
         return np.where(i == j, (b - a) * tail[i], spread)
 
-    def kink_points(self):
-        v = self._values
-        return tuple(v[(v > 0.0) & (v < 1.0)].tolist())
-
     def _quantile(self, us):
         return self._values[np.searchsorted(self._cum[1:], us, side="left")]
 
@@ -907,23 +901,26 @@ def max_posted_revenue(dist: ValuationDistribution) -> tuple[float, float]:
     return float(val), float(p)
 
 
-def _union_breakpoints(p: ValuationDistribution, q: ValuationDistribution):
-    parts = [[0.0, 1.0], p.kink_points(), q.kink_points()]
-    parts += [d._values for d in (p, q) if isinstance(d, Empirical)]
-    pts = np.unique(np.concatenate(parts))
-    return pts[(pts >= 0.0) & (pts <= 1.0)]
+def _run_distance(p: ValuationDistribution, q: ValuationDistribution, bounds, up: bool) -> float:
+    """Sum of |int (ccdf_p - ccdf_q)| over the runs between consecutive
+    ``bounds``, on which the difference alternates in sign, starting at or
+    above 0 when ``up``: each run adds the CCDF integrals' difference."""
+    diffs = p._integrals(bounds[:-1], bounds[1:]) - q._integrals(bounds[:-1], bounds[1:])
+    diffs[int(up) :: 2] *= -1.0
+    return max(math.fsum(diffs.tolist()), 0.0)
 
 
 def _sample_to_law(emp: Empirical, law: ValuationDistribution) -> float:
-    """W1 between an empirical and a continuous law, in one pass over the steps.
+    """W1 between an empirical reference and any law, in one pass over the steps.
 
     On the step [k_i, k_i+1) at CCDF level L_i the difference D = S - L_i of
     the law's CCDF S and the empirical one falls, and at each atom it jumps
     up.  So D changes sign only inside a step with S(k_i) >= L_i > S(k_i+1),
     where it falls through 0 at the law's quantile at 1 - L_i (clipped to the
-    step; an error d there moves W1 by about pdf d^2 / 2), or at an atom
-    where it jumps from below 0 to at or above it.  Between those points the
-    sign of D alternates, and each run adds the CCDF integrals' difference.
+    step; an error d there moves W1 by about pdf d^2 / 2, and on an empirical
+    law it is the atom where S drops through L_i), or at an atom where it
+    jumps from below 0 to at or above it.  Between those points the sign of
+    D alternates.
     """
     edges = np.append(emp._knots, 1.0)
     tail = emp._tail
@@ -943,31 +940,24 @@ def _sample_to_law(emp: Empirical, law: ValuationDistribution) -> float:
     if solve.any():
         i = step[solve]
         at[solve] = np.clip(law._quantile(1.0 - tail[i]), edges[i], edges[i + 1])
-    bounds = np.concatenate(([0.0], at, [1.0]))
-    diffs = law._integrals(bounds[:-1], bounds[1:]) - emp._integrals(bounds[:-1], bounds[1:])
-    # the runs where D < 0: from the second when D starts at or above 0
-    diffs[int(above[0]) :: 2] *= -1.0
-    return max(math.fsum(diffs.tolist()), 0.0)
+    # the runs where D < 0 count negated: from the second when D starts at or above 0
+    return _run_distance(law, emp, np.concatenate(([0.0], at, [1.0])), bool(above[0]))
 
 
-def _scanned_crossings(p, p0, breaks) -> list[float]:
-    """Sign changes of ccdf_p - ccdf_p0 between two continuous CCDFs: a dense
-    scan of each segment, refined to float resolution."""
+def _law_to_law(p: ValuationDistribution, q: ValuationDistribution) -> float:
+    """W1 between two continuous laws: the sign changes of ccdf_p - ccdf_q on a
+    4,097-point scan of [0, 1], each refined to float resolution."""
     def diff(x: float) -> float:
-        return float(p._ccdf(np.asarray(x)) - p0._ccdf(np.asarray(x)))
+        return float(p._ccdf(np.asarray(x)) - q._ccdf(np.asarray(x)))
 
-    crossings: list[float] = []
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        if b - a <= 1e-15:
-            continue
-        xs = np.linspace(a, b, 4097)
-        d = p._ccdf(xs) - p0._ccdf(xs)
-        # binary sign so exact zeros at a crossing still register a flip
-        sign = np.where(d >= 0.0, 1, -1)
-        flips = np.flatnonzero((sign[1:] * sign[:-1]) < 0)
-        for j in flips:
-            crossings.append(bisect_root(diff, float(xs[j]), float(xs[j + 1])).root)
-    return crossings
+    xs = np.linspace(0.0, 1.0, 4097)
+    # binary sign so exact zeros at a crossing still register a flip
+    above = p._ccdf(xs) - q._ccdf(xs) >= 0.0
+    crossings = [
+        bisect_root(diff, float(xs[j]), float(xs[j + 1])).root
+        for j in np.flatnonzero(above[1:] != above[:-1])
+    ]
+    return _run_distance(p, q, np.array([0.0, *crossings, 1.0]), bool(above[0]))
 
 
 def wasserstein_distance(
@@ -975,23 +965,14 @@ def wasserstein_distance(
 ) -> float:
     """Type-1 Wasserstein distance: the integral of |ccdf_p - ccdf_p0| on [0, 1].
 
-    Piecewise exact: each run of constant sign between breakpoints and
-    crossings is integrated via the CCDF partial integrals.  Between a sample
-    and a continuous law the runs come from one pass over the steps
-    (``_sample_to_law``); between two continuous laws the crossings are
-    located by a dense scan refined to float resolution.
+    Piecewise exact: each run of constant sign between crossings is
+    integrated via the CCDF partial integrals.  When either side is a sample
+    the runs come from one pass over its steps (``_sample_to_law``); between
+    two continuous laws the crossings are located by a dense scan refined to
+    float resolution.
     """
-    if isinstance(p, Empirical) != isinstance(p0, Empirical):
-        return _sample_to_law(*((p, p0) if isinstance(p, Empirical) else (p0, p)))
-    breaks = _union_breakpoints(p, p0)
-    crossings = [] if isinstance(p, Empirical) else _scanned_crossings(p, p0, breaks)
-    pts = np.unique(np.concatenate((breaks, crossings)))
-    mids = 0.5 * (pts[:-1] + pts[1:])
-    above = p._ccdf(mids) - p0._ccdf(mids) >= 0.0
-    flips = np.flatnonzero(above[1:] != above[:-1]) + 1
-    ends = pts[np.concatenate(([0], flips, [len(above)]))].tolist()
-    total = 0.0
-    for a, b, up in zip(ends[:-1], ends[1:], above[np.concatenate(([0], flips))]):
-        s = 1.0 if up else -1.0
-        total += s * (p.ccdf_integral(a, b) - p0.ccdf_integral(a, b))
-    return max(total, 0.0)
+    if isinstance(p, Empirical):
+        return _sample_to_law(p, p0)
+    if isinstance(p0, Empirical):
+        return _sample_to_law(p0, p)
+    return _law_to_law(p, p0)

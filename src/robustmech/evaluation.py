@@ -21,6 +21,7 @@ from .distributions import (
     ValuationDistribution,
     _revenue_slope,
     max_posted_revenue,
+    revenue,
     wasserstein_distance,
 )
 from .errors import DomainError, InfeasibleTargetError, check_count
@@ -77,9 +78,7 @@ class EvalReport(Record):
 
 def _exact_expected_revenue(mech: Mechanism, p: ValuationDistribution) -> float:
     if isinstance(mech, PostedPrice):
-        if mech.price == 0.0:
-            return 0.0
-        return mech.price * p.ccdf_left(mech.price)
+        return revenue(p, mech.price)
     if isinstance(p, Empirical):
         return math.fsum(p._masses * mech.payment(p._values))
     # the payment is continuous piecewise linear with slope k on the menu

@@ -139,7 +139,7 @@ def level_query(dist: Empirical, pi: float) -> LevelQuery:
 
 
 def _validate_level(dist: ValuationDistribution, pi: float) -> float:
-    if pi < 0.0:
+    if not pi >= 0.0:
         raise DomainError(f"revenue level must be nonnegative, got {pi}")
     pi0, _ = max_posted_revenue(dist)
     if pi > pi0 * (1.0 + 1e-12) + 1e-15:
@@ -199,13 +199,6 @@ def _monotone_runs(dist: ValuationDistribution):
         # every caller shares the cached arrays
         a.setflags(write=False)
     return runs
-
-
-def _single_hump(dist: ValuationDistribution) -> bool:
-    """Whether every cut of ``dist`` is at most one interval: a continuous
-    reference whose revenue grid rises, then falls (at most two monotone
-    runs, the runs ``_crossing_cells`` reads)."""
-    return not isinstance(dist, Empirical) and len(_monotone_runs(dist)[1]) <= 2
 
 
 def _crossing_cells(dist: ValuationDistribution, pi: float) -> list[tuple[int, bool]]:

@@ -7,23 +7,19 @@ buyers contribute the full price.  It is increasing in k and piecewise
 linear in p for empirical references, with kinks only at {k/(k+1) * atom}
 and the atoms themselves.
 
-When the revenue curve g(x) = x ccdf(x) has a single hump (an increasing
-hazard rate is sufficient, not needed), the optimal price for fragility k is
-the lower end u of the one-interval iso-revenue cut [u, w] with w/u = (k+1)/k.
-The test is the cut's own revenue grid (``isorevenue._single_hump``), and
-both searches are ``rs_solver.level_search`` over the cut level: for a given
-k, it is the ``pi_star`` cut of log-ratio ln((k+1)/k); for a target tau, it
-solves rho_pp = u/(w - u) * int_u^w ccdf = tau, with p = u and k = u/(w - u),
-by Newton steps on its slope dlog_sum k (pi - w/(w - u) int_u^w ccdf).
-Other references (empirical, several humps, or a root cut that rounds to the
-tangency at pi0) search log k directly, pricing each k by exact candidates,
-or by a 1,001-point array pass of rho_pp (the guard: rho_pp can have several
-local maxima in p) whose CCDF integrals from 0 to the grid prices are cached
-per reference, refined by Newton steps on the sign change of its slope in p.
-The search starts from its true end values, f < 0 at k = tau/mean and
-f >= 0 at k = tau/(pi0 - tau), returns the top end when f rounds to <= 0
-there, and takes Newton steps in log k on the envelope slope of
-max_p rho_pp, rho - p k/(k+1) ccdf(p) at the best price p.
+On a reference whose revenue curve g(x) = x ccdf(x) has a single hump, the
+paper puts the optimal price for fragility k at the lower end u of the
+one-interval iso-revenue cut [u, w] with w/u = (k+1)/k.  The solver does not
+build that cut: ``solve_pp`` searches log k on every reference, pricing each
+k by exact candidates on an empirical reference, and otherwise by a
+1,001-point array pass of rho_pp (the guard: rho_pp can have several local
+maxima in p) whose CCDF integrals from 0 to the grid prices are cached per
+reference, refined by Newton steps on the sign change of its slope in p, the
+first-order condition (k+1) ccdf(w) = k ccdf(u) of the same cut.  The search
+starts from its true end values, f < 0 at k = tau/mean and f >= 0 at
+k = tau/(pi0 - tau), returns the top end when f rounds to <= 0 there, and
+takes Newton steps in log k on the envelope slope of max_p rho_pp,
+rho - p k/(k+1) ccdf(p) at the best price p.
 """
 
 from __future__ import annotations
@@ -36,11 +32,10 @@ import numpy as np
 
 from .distributions import Empirical, ValuationDistribution, max_posted_revenue
 from .errors import DomainError, check_target
-from .isorevenue import _single_hump, cut  # noqa: F401  (bench/spans.py patches cut)
+from .isorevenue import cut  # noqa: F401  (bench/spans.py patches cut)
 from .mechanisms import PostedPrice
 from .numerics import bisect_root
 from .records import Record
-from .rs_solver import _pi_star_cut, level_search
 
 __all__ = [
     "PPSolveReport",
@@ -62,9 +57,8 @@ class PPSolveReport(Record):
     mechanism: PostedPrice
     iterations: int
     residual: float
-    #: "regular" (level search on the one-interval cut of a single-hump
-    #: reference), "scan" (grid and slope root search per k), "empirical"
-    #: (exact candidates per k) or "closed_form" (two atoms)
+    #: "scan" (grid and slope root search per k), "empirical" (exact
+    #: candidates per k) or "closed_form" (two atoms)
     path: str
     warnings: tuple[str, ...] = field(default=())
 
@@ -161,11 +155,6 @@ def optimal_price_given_k(dist: ValuationDistribution, k: float) -> float:
                 i = int(np.argmax(revs))
                 best = min(best, (-float(revs[i]), float(cands[i])))
         return best[1]
-    if _single_hump(dist):
-        # the cut whose price ratio w/u is (k+1)/k
-        c = _pi_star_cut(dist, 1.0 / math.log1p(1.0 / k))
-        if c.count == 1:
-            return c.intervals[0][0]
     return _optimal_price_scan(dist, k)
 
 
@@ -173,72 +162,44 @@ def solve_pp(dist: ValuationDistribution, tau: float) -> PPSolveReport:
     """Minimal fragility k with max_p rho_pp(p, k) = tau, and its price."""
     pi0, _ = max_posted_revenue(dist)
     check_target(tau, pi0)
-    c = None
-    if _single_hump(dist):
-        # rho_pp at p = u and k = u/(w - u) is k int_u^w ccdf = k (gap + pi log_sum);
-        # with x ccdf(x) = pi at both ends the integral moves with the level as
-        # pi dlog_sum, and k as -u w dlog_sum / (w - u)^2; the empty cut at pi0 is +inf
-        def excess(c) -> float:
-            if not c.intervals:
-                return math.inf
-            u, w = c.intervals[0][0], c.intervals[-1][1]
-            return u / (w - u) * dist.ccdf_integral(u, w) - tau
+    # search log k, which bounds the relative error of k at every scale;
+    # each evaluation keeps its k, price and revenue
+    evals: list[tuple[float, float, float]] = []
 
-        def slope(c) -> float:
-            if not c.intervals:
-                return 0.0
-            u, w = c.intervals[0][0], c.intervals[-1][1]
-            return c.dlog_sum * u / (w - u) * (c.pi - w / (w - u) * (c.gap + c.pi * c.log_sum))
+    def price(k: float) -> float:
+        p = optimal_price_given_k(dist, k)
+        evals.append((k, p, rho_pp(dist, p, k)))
+        return evals[-1][2] - tau
 
-        c, res = level_search(dist, excess, math.log(pi0), slope)
-    if c is not None and c.count == 1:
-        (u, w), = c.intervals
-        p, k_pp, it, path = u, u / (w - u), res.iterations if res else 0, "regular"
-        rho = rho_pp(dist, p, k_pp)
-    else:
-        # an empirical reference, several humps, or the cut at the root rounds
-        # to the tangency at pi0: search log k, which bounds the relative error
-        # of k at every scale; each evaluation keeps its k, price and revenue
-        evals: list[tuple[float, float, float]] = []
+    def f(t: float) -> float:
+        return price(math.exp(t))
 
-        def price(k: float) -> float:
-            p = optimal_price_given_k(dist, k)
-            evals.append((k, p, rho_pp(dist, p, k)))
-            return evals[-1][2] - tau
+    def df(t: float) -> float:
+        k, p, rho = evals[-1]
+        return _envelope_slope(dist, p, k, rho)
 
-        def f(t: float) -> float:
-            return price(math.exp(t))
-
-        def df(t: float) -> float:
-            k, p, rho = evals[-1]
-            return _envelope_slope(dist, p, k, rho)
-
-        # pricing at k/(k+1) * p0 earns at least k/(k+1) * pi0, so f >= 0 at
-        # k = tau/(pi0 - tau); rho_pp*(k) < k * mean, so f < 0 at tau/mean.
-        # When f rounds to <= 0 at the top, the root is that end (a two-atom
-        # reference's high branch)
-        k_hi = tau / (pi0 - tau)
-        f_hi = price(k_hi)
-        if f_hi > 0.0:
-            t_lo = math.log(tau / dist.mean())
-            f_lo = f(t_lo)
-            bisect_root(
-                f, t_lo, math.log(k_hi), xtol=1e-12, flo=f_lo, fhi=f_hi, df=df, dflo=df(t_lo)
-            )
-        # f is increasing, so the evaluation nearest the target is an end of
-        # the last bracket, within the 1e-12 stop of the root
-        k_pp, p, rho = min(evals, key=lambda e: abs(e[2] - tau))
-        it = len(evals)
-        path = "empirical" if isinstance(dist, Empirical) else "scan"
+    # pricing at k/(k+1) * p0 earns at least k/(k+1) * pi0, so f >= 0 at
+    # k = tau/(pi0 - tau); rho_pp*(k) < k * mean, so f < 0 at tau/mean.
+    # When f rounds to <= 0 at the top, the root is that end (a two-atom
+    # reference's high branch)
+    k_hi = tau / (pi0 - tau)
+    f_hi = price(k_hi)
+    if f_hi > 0.0:
+        t_lo = math.log(tau / dist.mean())
+        f_lo = f(t_lo)
+        bisect_root(f, t_lo, math.log(k_hi), xtol=1e-12, flo=f_lo, fhi=f_hi, df=df, dflo=df(t_lo))
+    # f is increasing, so the evaluation nearest the target is an end of
+    # the last bracket, within the 1e-12 stop of the root
+    k_pp, p, rho = min(evals, key=lambda e: abs(e[2] - tau))
     return PPSolveReport(
         tau=tau,
         k_pp=k_pp,
         p_pp=p,
         rho_at_solution=rho,
         mechanism=PostedPrice(p),
-        iterations=it,
+        iterations=len(evals),
         residual=rho - tau,
-        path=path,
+        path="empirical" if isinstance(dist, Empirical) else "scan",
     )
 
 

@@ -13,9 +13,8 @@ iso-revenue cut: with L(pi) = sum_j ln(w_j/u_j) over the cut intervals,
 so ``level_search`` solves rho(pi) = tau, as gap - (tau - pi) L = 0, and
 k* = 1/L(pi*).  When pi* underflows the floor level, the floor cut already
 covers the reference and k* = tau / int ccdf over it.  The optimal mechanism
-is the randomized log menu on the cut at pi*.  The PP regular path, the
-PP price for a given k and the RO solver pick their levels with
-``level_search`` too.
+is the randomized log menu on the cut at pi*.  The RO solver picks its
+level with ``level_search`` too.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from functools import partial
 from typing import Callable
 
 from .distributions import Empirical, ValuationDistribution, max_posted_revenue
-from .errors import InfeasibleTargetError, check_target
+from .errors import DomainError, InfeasibleTargetError, check_target
 from .isorevenue import LOG_LEVEL_FLOOR, IsoRevenueCut, LevelQuery, cut, gap_only, level_query
 from .mechanisms import RandomizedLogMechanism
 from .numerics import RootResult, bisect_root
@@ -148,7 +147,7 @@ def _pi_star_cut(dist: ValuationDistribution, k: float) -> IsoRevenueCut:
     """Cut at the root of log_sum(cut(pi)) = 1/k; the root scales like
     exp(-1/k) for small k, and below the floor level the floor cut is kept."""
     if not k > 0.0:
-        raise ValueError(f"fragility must be positive, got {k}")
+        raise DomainError(f"fragility must be positive, got {k}")
     pi0, _ = max_posted_revenue(dist)
     # log_sum falls to 0 at the tangency level pi0
     target = 1.0 / k

@@ -47,6 +47,25 @@ def sorted_quantile_transport(p: Empirical, q: Empirical) -> float:
     return total
 
 
+def interior_atoms(dist: ValuationDistribution) -> tuple[float, ...]:
+    """An empirical reference's atoms inside (0, 1), where its CCDF jumps;
+    () for a continuous law."""
+    if not isinstance(dist, Empirical):
+        return ()
+    return tuple(v for v, _ in dist.atoms if 0.0 < v < 1.0)
+
+
+def merged_knot_distance(p: Empirical, q: Empirical) -> float:
+    """W1 between two samples: on each segment between their merged atoms
+    both CCDFs are constant, so |ccdf_p - ccdf_q| at its midpoint, times its
+    width, is exact."""
+    pts = sorted({0.0, 1.0} | {v for v, _ in p.atoms} | {v for v, _ in q.atoms})
+    return math.fsum(
+        (hi - lo) * abs(atom_ccdf(p, 0.5 * (lo + hi)) - atom_ccdf(q, 0.5 * (lo + hi)))
+        for lo, hi in zip(pts[:-1], pts[1:])
+    )
+
+
 def trapezoid_gap(dist, pi: float, n: int = 1_000_000) -> float:
     """Dense-grid quadrature of the positive part of (ccdf(x) - pi/x))."""
     xs = np.linspace(1.0 / n, 1.0, n)

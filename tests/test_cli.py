@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from robustmech import eta_rs, from_json
+from robustmech import Uniform, eta_rs, from_json, pi_ro_star
 from robustmech.cli import EXIT_USAGE, build_parser, main
 
 UNIFORM = '{"kind":"uniform"}'
@@ -112,6 +112,17 @@ class TestTables:
         assert lines[0] == "v,q,m,surplus"
         assert len(lines) == 102
 
+    def test_csv_rows_are_the_json_table(self, capsys, tmp_path):
+        table = tmp_path / "mech.csv"
+        code, stdout, _ = run_cli(
+            capsys, "solve-pp", "--reference", UNIFORM, "--tau", "0.2",
+            "--table", str(table), "--table-points", "11",
+        )
+        assert code == 0
+        rows = json.loads(stdout)["mechanism_table"]
+        lines = table.read_text().splitlines()[1:]
+        assert lines == [",".join(map(repr, row)) for row in rows]
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -177,6 +188,13 @@ class TestCompare:
         assert rep["rs"]["k_star"] == pytest.approx(0.56, abs=0.005)
         assert rep["rs_vs_ro_crossings"]["q_changes"] == 1
         assert "out_of_sample" in rep
+
+    def test_radius_sets_the_target(self, capsys):
+        code, stdout, _ = run_cli(capsys, "compare", "--reference", UNIFORM, "--r", "0.1")
+        assert code == 0
+        rep = json.loads(stdout)
+        assert rep["r"] == 0.1
+        assert rep["tau"] == pi_ro_star(Uniform(), 0.1)
 
     def test_requires_exactly_one_parameter(self, capsys):
         code, _, _ = run_cli(capsys, "compare", "--reference", UNIFORM)
@@ -250,6 +268,20 @@ class TestSweep:
         assert code == EXIT_USAGE
         assert stdout == ""
         assert "Monte Carlo sample size must be an integer >= 0, got -5" in stderr
+
+    def test_empty_grid_part_is_skipped(self, capsys):
+        code, stdout, _ = run_cli(
+            capsys, "sweep", "--reference", UNIFORM, "--grid", "alphas=1;;betas=1; ;taus=0.2"
+        )
+        assert code == 0
+        assert len(json.loads(stdout)["cells"]) == 1
+
+    def test_grid_part_without_equals_sign(self, capsys):
+        code, stdout, _ = run_cli(
+            capsys, "sweep", "--reference", UNIFORM, "--grid", "alphas=1;betas"
+        )
+        assert code == 1
+        assert stdout == ""
 
     def test_bad_grid_key(self, capsys):
         code, _, _ = run_cli(

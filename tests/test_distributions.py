@@ -1,4 +1,5 @@
 import json
+import pickle
 import tracemalloc
 
 import mpmath
@@ -7,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import mp_cdf, mp_ccdf, sorted_quantile_transport, trapezoid_ccdf_distance
+from helpers import (
+    interior_atoms,
+    merged_knot_distance,
+    mp_cdf,
+    mp_ccdf,
+    sorted_quantile_transport,
+    trapezoid_ccdf_distance,
+)
 from robustmech import (
     Beta,
     DomainError,
@@ -20,6 +28,7 @@ from robustmech import (
     from_json,
     max_posted_revenue,
     revenue,
+    solve,
     wasserstein_distance,
 )
 from robustmech.numerics import adaptive_simpson
@@ -92,7 +101,7 @@ class TestMean:
     def test_matches_ccdf_quadrature(self, dist):
         # independent route: adaptive Simpson of the CCDF over [0, 1]
         numeric = adaptive_simpson(
-            lambda x: dist.ccdf(x), 0.0, 1.0, split_points=dist.kink_points()
+            lambda x: dist.ccdf(x), 0.0, 1.0, split_points=interior_atoms(dist)
         )
         assert dist.mean() == pytest.approx(numeric, abs=1e-8)
         assert 0.0 < dist.mean() <= 1.0
@@ -104,7 +113,7 @@ class TestCcdfIntegral:
     def test_matches_quadrature(self, dist, bounds):
         a, b = bounds
         numeric = adaptive_simpson(
-            lambda x: dist.ccdf(x), a, b, split_points=dist.kink_points()
+            lambda x: dist.ccdf(x), a, b, split_points=interior_atoms(dist)
         )
         assert dist.ccdf_integral(a, b) == pytest.approx(numeric, abs=1e-9)
 
@@ -123,6 +132,11 @@ class TestRevenue:
     def test_zero_price(self, two_point, uniform):
         assert revenue(two_point, 0.0) == 0.0
         assert revenue(uniform, 0.0) == 0.0
+
+    @pytest.mark.parametrize("p", [-0.1, 1.5, float("nan")])
+    def test_price_outside_unit_interval(self, uniform, p):
+        with pytest.raises(DomainError):
+            revenue(uniform, p)
 
 
 class TestMaxPostedRevenue:
@@ -332,6 +346,18 @@ class TestEmpiricalConstruction:
         for v, m in two_point.atoms:
             assert two_point.ccdf_left(v) - two_point.ccdf(v) == pytest.approx(m)
 
+    def test_pickle_after_a_level_search(self):
+        # the level searches' table is kept on the instance but not pickled
+        dist = Empirical.from_samples(np.random.default_rng(3).beta(2.0, 5.0, 300))
+        tau = 0.45 * max_posted_revenue(dist)[0]
+        before = solve(dist, tau)
+        assert "_level_table" in vars(dist)
+        copy = pickle.loads(pickle.dumps(dist))
+        assert "_level_table" not in vars(copy)
+        assert copy == dist
+        after = solve(copy, tau)
+        assert (after.k_star, after.intervals) == (before.k_star, before.intervals)
+
     def test_rejects_bad_masses(self):
         with pytest.raises(DomainError):
             Empirical(((0.3, 0.5), (0.7, 0.6)))
@@ -385,6 +411,19 @@ class TestWasserstein:
         assert dpq <= (
             wasserstein_distance(p, r) + wasserstein_distance(r, q) + 1e-10
         )
+
+    def test_sample_pairs_match_merged_knot_sum(self):
+        # ties within a sample, atoms at 0 and 1, and shared atoms across the
+        # two samples; either side may be taken for the one-pass kernel
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            p, q = (
+                Empirical.from_samples(np.round(rng.random(int(rng.integers(1, 40))), 1))
+                for _ in range(2)
+            )
+            oracle = merged_knot_distance(p, q)
+            assert wasserstein_distance(p, q) == pytest.approx(oracle, rel=1e-13, abs=0.0)
+            assert wasserstein_distance(q, p) == pytest.approx(oracle, rel=1e-13, abs=0.0)
 
     def test_continuous_pair_against_dense_grid(self, uniform, beta25):
         oracle = trapezoid_ccdf_distance(beta25.ccdf, uniform.ccdf)
@@ -454,6 +493,12 @@ class TestValidation:
     def test_mixture_weights(self):
         with pytest.raises(DomainError):
             Mixture((Uniform(), Uniform()), (0.6, 0.6))
+
+    def test_mixture_needs_one_weight_per_component(self):
+        with pytest.raises(DomainError, match="matching"):
+            Mixture((Uniform(), Uniform()), (1.0,))
+        with pytest.raises(DomainError, match="matching"):
+            Mixture((), ())
 
     def test_mixture_rejects_discrete_components(self):
         with pytest.raises(DomainError):

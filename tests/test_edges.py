@@ -28,7 +28,12 @@ from robustmech import (
     Power,
     TruncatedExponential,
     Uniform,
+    cut,
+    fragility_adjusted_revenue,
+    gap_only,
     pi_ro_star,
+    pi_star,
+    rho_star,
     solve,
     solve_pp,
     solve_pp_two_point,
@@ -165,6 +170,15 @@ def _menu():
         pytest.param(lambda: Uniform().ccdf_integral(0.1, math.inf), id="integral-inf"),
         pytest.param(lambda: Uniform().ccdf_integral(0.5, 1.0 + 1e-9), id="integral-past-slack"),
         pytest.param(lambda: worst_case_ccdf(Uniform(), 0.1, math.nan), id="worst-case-ccdf-nan"),
+        pytest.param(lambda: cut(Uniform(), math.nan), id="cut-level-nan"),
+        pytest.param(lambda: gap_only(Uniform(), math.nan), id="gap-level-nan"),
+        pytest.param(lambda: worst_case_ccdf(Uniform(), math.nan, 0.5), id="worst-case-level-nan"),
+        pytest.param(
+            lambda: fragility_adjusted_revenue(Uniform(), math.nan, 1.0), id="rho-level-nan"
+        ),
+        pytest.param(lambda: pi_star(Uniform(), 0.0), id="pi-star-fragility-zero"),
+        pytest.param(lambda: pi_star(Uniform(), -1.0), id="pi-star-fragility-negative"),
+        pytest.param(lambda: rho_star(Uniform(), math.nan), id="rho-star-fragility-nan"),
     ],
 )
 def test_nan_or_out_of_range_argument_raises_domain_error(call):

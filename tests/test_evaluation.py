@@ -33,7 +33,7 @@ from robustmech import (
     theta_sensitivity,
     wasserstein_distance,
 )
-from robustmech.evaluation import revenue_ratio
+from robustmech.evaluation import PREFERENCE_DEAD_BAND, _classify, revenue_ratio
 
 
 def _one_pass_payment(mech, vs):
@@ -306,6 +306,17 @@ class TestThetaCondition:
         )
         assert theta_sensitivity(1.0 + 1e-6) == pytest.approx(1.0, abs=1e-4)
 
+    def test_sensitivity_needs_a_ratio_above_one(self):
+        with pytest.raises(DomainError):
+            theta_sensitivity(1.0)
+
+    def test_rejects_a_cut_of_two_intervals(self):
+        bimodal = Mixture((Beta(2.0, 10.0), Beta(10.0, 2.0)), (0.85, 0.15))
+        c = 0.9 * max_posted_revenue(bimodal)[0]
+        assert cut(bimodal, c).count == 2
+        with pytest.raises(DomainError, match="2 interval"):
+            theta_condition(bimodal, c)
+
     def test_rejects_out_of_range_levels(self, uniform):
         with pytest.raises(DomainError):
             theta_condition(uniform, 0.0)
@@ -326,6 +337,11 @@ SMALL_SWEEP = SweepConfig(
 
 
 class TestBetaSweep:
+    def test_classify_ties_within_the_dead_band(self):
+        assert _classify(0.1, 0.1, 0.05) == "tie"
+        assert _classify(0.05, 0.1, 0.1 + 0.5 * PREFERENCE_DEAD_BAND) == "tie"
+        assert _classify(0.05, 0.1, 0.1 + 2.0 * PREFERENCE_DEAD_BAND) == "PP"
+
     def test_cell_count_and_classification(self):
         cells = beta_sweep(SMALL_SWEEP)
         assert len(cells) == 3 * 2 * 2

@@ -6,6 +6,7 @@ import pytest
 from helpers import mask_crossing_cells, trapezoid_gap
 from robustmech import (
     Beta,
+    DomainError,
     Empirical,
     InfeasibleLevelError,
     Mixture,
@@ -282,6 +283,12 @@ class TestIntervalNesting:
 
 
 class TestWorstCaseCcdf:
+    def test_negative_level_is_rejected(self, uniform):
+        with pytest.raises(DomainError):
+            cut(uniform, -0.1)
+        with pytest.raises(DomainError):
+            worst_case_ccdf(uniform, -0.1, 0.5)
+
     def test_pointwise_formula(self, uniform):
         assert worst_case_ccdf(uniform, 0.16, 0.5) == pytest.approx(0.32)
         assert worst_case_ccdf(uniform, 0.16, 0.1) == pytest.approx(0.9)

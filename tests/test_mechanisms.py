@@ -191,3 +191,13 @@ class TestPostedPrice:
     def test_validation(self):
         with pytest.raises(DomainError):
             PostedPrice(1.2)
+
+    def test_price_quantile(self):
+        pp = PostedPrice(0.3)
+        assert pp.price_quantile(0.5) == 0.3
+        assert isinstance(pp.price_quantile(0.5), float)
+        np.testing.assert_array_equal(pp.price_quantile([0.0, 0.4, 1.0]), [0.3, 0.3, 0.3])
+        with pytest.raises(DomainError):
+            pp.price_quantile(1.5)
+        with pytest.raises(DomainError):
+            pp.price_quantile([0.5, -0.1])

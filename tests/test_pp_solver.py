@@ -1,8 +1,9 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from helpers import TruncatedPareto
+from helpers import TruncatedPareto, mp_ccdf
 
 from robustmech import (
     Beta,
@@ -14,6 +15,7 @@ from robustmech import (
     TruncatedExponential,
     Uniform,
     ValuationDistribution,
+    cut,
     max_posted_revenue,
     optimal_price_given_k,
     pp_solver,
@@ -41,6 +43,27 @@ class QuadraticCCDF(ValuationDistribution):
 
     def _ccdf(self, xs):
         return 1.0 - xs * xs
+
+
+#: single-hump revenue curves without an increasing hazard rate
+SINGLE_HUMP = {
+    "beta.5_.5": Beta(0.5, 0.5),
+    "beta.5_3": Beta(0.5, 3.0),
+    "beta3_.5": Beta(3.0, 0.5),
+    "irregular": IRREGULAR,
+}
+#: every single-hump revenue curve of this file
+ONE_HUMP = {
+    "uniform": Uniform(),
+    "beta2_5": Beta(2.0, 5.0),
+    "power3": Power(3.0),
+    "texp1": TruncatedExponential(1.0),
+    **SINGLE_HUMP,
+    "quadratic": QuadraticCCDF(),
+    "truncated_pareto": TruncatedPareto(),
+}
+#: every continuous reference of this file: the single humps and two humps
+CONTINUOUS = {**ONE_HUMP, "bimodal": BIMODAL}
 
 
 class TestRhoPP:
@@ -114,6 +137,12 @@ class TestOptimalPrice:
         best = max(rho_pp(IRREGULAR, float(p), k) for p in grid)
         assert rho_pp(IRREGULAR, p_opt, k) >= best - 1e-6
 
+    @pytest.mark.parametrize("k", [0.0, -1.0, math.nan])
+    def test_rejects_fragility_not_above_zero(self, uniform, two_point, k):
+        for dist in (uniform, two_point):
+            with pytest.raises(DomainError):
+                optimal_price_given_k(dist, k)
+
     @pytest.mark.parametrize("fixture", ["uniform", "beta25", "exp1"])
     @pytest.mark.parametrize("k", [0.4, 1.0, 3.0])
     def test_first_order_condition(self, fixture, k, request):
@@ -177,7 +206,7 @@ class TestNearTangency:
     def test_regular_path_hits_target(self, dist):
         tau = (1.0 - 1e-6) * max_posted_revenue(dist)[0]
         rep = solve_pp(dist, tau)
-        assert rep.path == "regular"
+        assert rep.path == "scan"
         assert abs(rep.residual) <= 1e-9 * tau
 
     def test_uniform_fragility_closed_form(self, uniform):
@@ -217,16 +246,12 @@ def _best_revenue(dist, t):
 
 
 class TestFallbackSearch:
-    """The log-k search for references with no single-interval cut."""
+    """The log-k search, the one posted-price search on every reference."""
 
     @pytest.mark.parametrize("frac", TARGET_FRACS)
-    @pytest.mark.parametrize("dist", [Beta(0.5, 0.5), BIMODAL], ids=["beta.5_.5", "bimodal"])
+    @pytest.mark.parametrize("dist", list(CONTINUOUS.values()), ids=list(CONTINUOUS))
     def test_prices_at_most_twelve_k(self, dist, frac, monkeypatch):
-        # the two ends included.  The search also serves single-hump
-        # references whose root cut rounds to the tangency, so Beta(0.5, 0.5),
-        # with its unbounded density at both ends, is searched with the
-        # single-hump test switched off
-        monkeypatch.setattr(pp_solver, "_single_hump", lambda dist: False)
+        # the two ends included
         calls = _count_prices(monkeypatch)
         tau = frac * max_posted_revenue(dist)[0]
         rep = solve_pp(dist, tau)
@@ -289,45 +314,50 @@ class TestFallbackSearch:
         assert got == pytest.approx(ps - ps**3 / 3.0, rel=1e-14, abs=1e-300)
 
 
-#: single-hump revenue curves without an increasing hazard rate
-SINGLE_HUMP = {
-    "beta.5_.5": Beta(0.5, 0.5),
-    "beta.5_3": Beta(0.5, 3.0),
-    "beta3_.5": Beta(3.0, 0.5),
-    "irregular": IRREGULAR,
-}
-
-
 class TestSingleHump:
-    """References whose revenue grid has one hump take the level search on
-    the one-interval cut, and agree with the 1,001-point scan."""
+    """On a single-hump revenue curve the paper's characterization holds: the
+    best price for fragility k is the lower end u of the one-interval cut
+    with w/u = (k+1)/k.  The solver does not build that cut; these tests do."""
 
     @pytest.mark.parametrize("frac", TARGET_FRACS)
-    def test_beta_half_half_takes_at_most_eighteen_cuts(self, frac, monkeypatch):
-        # the floor included
-        cuts = []
-        exact = rs_solver.cut
-
-        def counted(dist, pi):
-            cuts.append(pi)
-            return exact(dist, pi)
-
-        monkeypatch.setattr(rs_solver, "cut", counted)
-        dist = SINGLE_HUMP["beta.5_.5"]
-        tau = frac * max_posted_revenue(dist)[0]
-        rep = solve_pp(dist, tau)
-        assert rep.path == "regular"
-        assert len(cuts) <= 18
-        assert abs(rep.residual) <= 5e-13 * tau
+    @pytest.mark.parametrize("name", list(ONE_HUMP))
+    def test_solution_is_the_lower_end_of_its_cut(self, name, frac):
+        dist = ONE_HUMP[name]
+        rep = solve_pp(dist, frac * max_posted_revenue(dist)[0])
+        p = rep.p_pp
+        c = cut(dist, p * float(dist.ccdf(p)))
+        assert c.count == 1
+        (u, w), = c.intervals
+        assert u == pytest.approx(p, rel=1e-13, abs=0.0)
+        assert w == pytest.approx((1.0 + 1.0 / rep.k_pp) * p, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("k", np.logspace(-3.0, 4.0, 29).tolist())
     @pytest.mark.parametrize("name", list(SINGLE_HUMP))
     def test_price_matches_the_scan(self, name, k):
         # above k = 100, rho_pp's own rounding moves the two apart either way
         dist = SINGLE_HUMP[name]
-        rho = rho_pp(dist, optimal_price_given_k(dist, k), k)
-        scanned = rho_pp(dist, pp_solver._optimal_price_scan(dist, k), k)
+        at_cut = rs_solver._pi_star_cut(dist, 1.0 / math.log1p(1.0 / k)).intervals[0][0]
+        rho = rho_pp(dist, at_cut, k)
+        scanned = rho_pp(dist, optimal_price_given_k(dist, k), k)
         assert abs(rho - scanned) <= (1e-13 if k <= 100.0 else 2e-11) * scanned
+
+    @pytest.mark.parametrize("k", np.logspace(-3.0, 4.0, 29).tolist())
+    @pytest.mark.parametrize(
+        "dist",
+        [Uniform(), Beta(2.0, 5.0), TruncatedExponential(1.0)],
+        ids=["uniform", "beta2_5", "texp1"],
+    )
+    def test_price_against_50_digit_first_order_condition(self, dist, k):
+        # the root of (k+1) ccdf((1 + 1/k) p) = k ccdf(p), from the returned price
+        p = optimal_price_given_k(dist, k)
+        with mpmath.workdps(50):
+            mk = mpmath.mpf(k)
+            root = mpmath.findroot(
+                lambda x: (mk + 1) * mp_ccdf(dist, (1 + 1 / mk) * x) - mk * mp_ccdf(dist, x),
+                mpmath.mpf(p),
+            )
+            err = float(abs(p - root) / root)
+        assert err <= (1e-14 if k <= 100.0 else 1e-12)
 
 
 class TestTwoPointClosedForm:
@@ -382,6 +412,8 @@ class TestTwoPointClosedForm:
     def test_validation(self):
         with pytest.raises(DomainError):
             solve_pp_two_point(0.7, 0.5, 0.3, 0.5, 0.1)
+        with pytest.raises(DomainError, match="sum to 1"):
+            solve_pp_two_point(0.3, 0.5, 0.7, 0.6, 0.1)
         with pytest.raises(InfeasibleTargetError):
             solve_pp_two_point(0.3, 0.5, 0.7, 0.5, 0.36)
 
@@ -390,13 +422,13 @@ class TestPath:
     @pytest.mark.parametrize(
         "dist,path",
         [
-            (Beta(2.0, 5.0), "regular"),
-            (Beta(0.5, 0.5), "regular"),
-            (Beta(0.5, 3.0), "regular"),
-            (Beta(3.0, 0.5), "regular"),
-            (IRREGULAR, "regular"),
-            (QuadraticCCDF(), "regular"),
-            (TruncatedPareto(), "regular"),
+            (Beta(2.0, 5.0), "scan"),
+            (Beta(0.5, 0.5), "scan"),
+            (Beta(0.5, 3.0), "scan"),
+            (Beta(3.0, 0.5), "scan"),
+            (IRREGULAR, "scan"),
+            (QuadraticCCDF(), "scan"),
+            (TruncatedPareto(), "scan"),
             (BIMODAL, "scan"),
             (
                 Empirical.from_samples(np.random.default_rng(7).beta(2.0, 5.0, 300)),

@@ -379,7 +379,8 @@ def _itp_wasserstein(p, p0):
     """W1 between a sample and a continuous law from ITP-refined crossings,
     with each run of one sign integrated separately: the distance the
     one-pass kernel replaced."""
-    breaks = distributions._union_breakpoints(p, p0)
+    atoms = [d._values for d in (p, p0) if isinstance(d, Empirical)]
+    breaks = np.unique(np.concatenate([[0.0, 1.0], *atoms]))
     pts = np.unique(np.concatenate((breaks, _itp_step_crossings(p, p0, breaks))))
     mids = 0.5 * (pts[:-1] + pts[1:])
     above = p._ccdf(mids) - p0._ccdf(mids) >= 0.0
