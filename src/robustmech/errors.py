@@ -70,6 +70,7 @@ def check_target(tau: float, pi0: float) -> None:
 
 
 def check_count(n, least: int, what: str) -> None:
-    """Raise ``DomainError`` unless ``n`` is an integer >= ``least``."""
-    if not isinstance(n, numbers.Integral) or n < least:
+    """Raise ``DomainError`` unless ``n`` is an integer >= ``least``; a bool
+    is an ``Integral`` but not a count."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < least:
         raise DomainError(f"{what} must be an integer >= {least}, got {n!r}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -183,56 +183,37 @@ class CrossingThresholds(Record):
     s_changes: int
 
 
-def _sign_profile(diff: np.ndarray, band: float = 1e-13):
-    signs = np.zeros(diff.shape, dtype=int)
-    signs[diff > band] = 1
-    signs[diff < -band] = -1
-    return signs
+#: points of the grid on [0, 1] where ``crossing_thresholds`` reads the signs
+_CROSSING_GRID_POINTS = 10_001
 
 
-def _threshold_of(grid, fa, fb):
-    """Threshold bracket and sign-change count for diff = fa - fb sampled on
-    grid; the bracket is (lo, hi, diff at lo, diff at hi)."""
-    diff = fa - fb
-    signs = _sign_profile(diff)
-    nz = np.flatnonzero(signs)
-    if nz.size == 0:
-        return None, 0
-    changes = 0
-    threshold = None
-    prev_idx = nz[0]
-    for idx in nz[1:]:
-        if signs[idx] != signs[prev_idx]:
-            changes += 1
-            if signs[prev_idx] > 0 and signs[idx] < 0:
-                threshold = (float(grid[prev_idx]), float(grid[idx]),
-                             float(diff[prev_idx]), float(diff[idx]))
-        prev_idx = idx
-    return threshold, changes
-
-
-def crossing_thresholds(
-    mech_a: Mechanism, mech_b: Mechanism, *, grid_points: int = 10_001
-) -> CrossingThresholds:
+def crossing_thresholds(mech_a: Mechanism, mech_b: Mechanism) -> CrossingThresholds:
     """Locate where allocation, payment and surplus differences change sign.
 
     A threshold is the refined location of the last positive-to-negative sign
     change of (A minus B) on a dense grid; differences within 1e-13 count as
     zero so shared plateaus do not register as crossings.
     """
-    grid = np.linspace(0.0, 1.0, grid_points)
+    grid = np.linspace(0.0, 1.0, _CROSSING_GRID_POINTS)
     out: list[float | None] = []
     counts: list[int] = []
     for name in ("allocation", "payment", "buyer_surplus"):
         fa, fb = getattr(mech_a, name), getattr(mech_b, name)
-        bracket, changes = _threshold_of(grid, fa(grid), fb(grid))
-        if bracket is None:
-            out.append(None)
-        else:
+        diff = fa(grid) - fb(grid)
+        signed = np.flatnonzero(np.abs(diff) > 1e-13)
+        positive = diff[signed] > 0.0
+        flips = np.flatnonzero(positive[1:] != positive[:-1])
+        downs = flips[positive[flips]]
+        if downs.size:
             # both ends lie outside the zero band, with opposite signs
-            lo, hi, flo, fhi = bracket
-            out.append(bisect_root(lambda v: fa(v) - fb(v), lo, hi, flo=flo, fhi=fhi).root)
-        counts.append(changes)
+            lo, hi = signed[downs[-1]], signed[downs[-1] + 1]
+            out.append(bisect_root(
+                lambda v: fa(v) - fb(v), float(grid[lo]), float(grid[hi]),
+                flo=float(diff[lo]), fhi=float(diff[hi]),
+            ).root)
+        else:
+            out.append(None)
+        counts.append(flips.size)
     return CrossingThresholds(out[0], out[1], out[2], counts[0], counts[1], counts[2])
 
 
@@ -354,8 +335,7 @@ def beta_sweep(config: SweepConfig = SweepConfig()) -> list[SweepCell]:
             rs_mech = solve(ref, tau).mechanism
             pp_mech = solve_pp(ref, tau).mechanism
             r = radius_for_target(ref, tau)
-            ro_mech = build_ro_mechanism(ref, r)
-            per_frac[frac] = (rs_mech, pp_mech, ro_mech, r)
+            per_frac[frac] = ((rs_mech, build_ro_mechanism(ref, r), pp_mech), r)
         except InfeasibleTargetError:
             per_frac[frac] = None
     cells: list[SweepCell] = []
@@ -368,53 +348,37 @@ def beta_sweep(config: SweepConfig = SweepConfig()) -> list[SweepCell]:
                 cell_index += 1
                 solved = per_frac[frac]
                 if solved is None:
-                    cells.append(
-                        SweepCell(
-                            alpha, beta, frac, None, None, None,
-                            "skipped", False, wd, skipped=True,
-                        )
-                    )
-                    continue
-                rs_mech, pp_mech, ro_mech, r = solved
-                mechs = (rs_mech, ro_mech, pp_mech)
-                if config.mc_n > 0:
-                    # the cell's own stream keeps results order-independent;
-                    # one draw set shared by the three mechanisms pairs the
-                    # comparison
-                    rng = np.random.default_rng([config.seed, cell_index])
-                    draws = truth.sample(config.mc_n, rng)
-                    rev_rs, rev_ro, rev_pp = (float(np.mean(m.payment(draws))) for m in mechs)
+                    revs, preferred, inside = (None, None, None), "skipped", False
                 else:
-                    rev_rs, rev_ro, rev_pp = (_exact_expected_revenue(m, truth) for m in mechs)
+                    mechs, r = solved
+                    if config.mc_n > 0:
+                        # the cell's own stream keeps results order-independent;
+                        # one draw set shared by the three mechanisms pairs the
+                        # comparison
+                        rng = np.random.default_rng([config.seed, cell_index])
+                        draws = truth.sample(config.mc_n, rng)
+                        revs = tuple(float(np.mean(m.payment(draws))) for m in mechs)
+                    else:
+                        revs = tuple(_exact_expected_revenue(m, truth) for m in mechs)
+                    preferred, inside = _classify(*revs), wd <= r
                 cells.append(
-                    SweepCell(
-                        alpha=alpha,
-                        beta=beta,
-                        tau_over_pi0=frac,
-                        rev_rs=rev_rs,
-                        rev_ro=rev_ro,
-                        rev_pp=rev_pp,
-                        preferred=_classify(rev_rs, rev_ro, rev_pp),
-                        in_ambiguity_set=wd <= r,
-                        wasserstein_to_ref=wd,
-                    )
+                    SweepCell(alpha, beta, frac, *revs, preferred, inside, wd, solved is None)
                 )
     return cells
 
 
+def _csv_value(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    return value if isinstance(value, str) else repr(value)
+
+
 def sweep_csv(cells: list[SweepCell]) -> str:
-    """Render sweep cells as CSV."""
-    lines = [
-        "alpha,beta,tau_over_pi0,rev_rs,rev_ro,rev_pp,"
-        "preferred,in_ambiguity_set,wasserstein_to_ref"
-    ]
-    for c in cells:
-        revs = [
-            "" if v is None else repr(v) for v in (c.rev_rs, c.rev_ro, c.rev_pp)
-        ]
-        lines.append(
-            f"{c.alpha!r},{c.beta!r},{c.tau_over_pi0!r},{revs[0]},{revs[1]},"
-            f"{revs[2]},{c.preferred},{str(c.in_ambiguity_set).lower()},"
-            f"{c.wasserstein_to_ref!r}"
-        )
+    """Render sweep cells as CSV: one column per ``SweepCell`` field but
+    ``skipped``, an empty field for a revenue the cell has not."""
+    names = [f.name for f in fields(SweepCell) if f.name != "skipped"]
+    lines = [",".join(names)]
+    lines.extend(",".join(_csv_value(getattr(c, n)) for n in names) for c in cells)
     return "\n".join(lines) + "\n"

@@ -91,67 +91,64 @@ class RandomizedLogMechanism:
     def from_cut(cls, cut: IsoRevenueCut) -> "RandomizedLogMechanism":
         return cls(intervals=cut.intervals, cut_level=cut.pi)
 
-    def _locate(self, vs: np.ndarray):
-        """Per valuation: the intervals it has passed, whether it lies inside
-        the next one, that interval's start, and whether it tops the menu."""
-        us = np.asarray([u for u, _ in self.intervals])
-        ws = np.asarray([w for _, w in self.intervals])
-        j_w = np.searchsorted(ws, vs, side="right")
-        u = us[np.minimum(j_w, len(us) - 1)]
-        # the intervals are sorted and disjoint, so v has passed j_w or j_w + 1
-        # starts, and j_w + 1 exactly when it is at or above the next one
-        inside = (j_w < len(us)) & (vs >= u)
-        return j_w, inside, u, vs >= ws[-1]
-
     def allocation(self, v):
         """Winning probability q(v): 0 below the menu, 1 at and above its top."""
-        return _blockwise(self._allocation, v)
-
-    def _allocation(self, vs):
-        j_w, inside, u, top = self._locate(vs)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            extra = np.where(inside, np.log(np.maximum(vs, 1e-300) / u), 0.0)
-        out = np.minimum(self.slope * (np.asarray(self._cum_log)[j_w] + extra), 1.0)
-        return np.where(top, 1.0, out)
+        return _blockwise(self._curves()[0], v)
 
     def payment(self, v):
         """Payment m(v): slope inside intervals, constant elsewhere, m(0) = 0;
         a clip per valuation, and one search of the interval starts per
         valuation when the menu has more than one interval."""
-        return _blockwise(self._payment_curve(), v)
-
-    def _payment_curve(self):
-        """m on an array of valuations in [0, 1], with the menu's arrays built once.
-
-        With j the last interval starting at or below v (0 below the menu),
-        m(v) = slope (cum_width[j] + clip(v - u_j, 0, w_j - u_j)): past
-        interval j the sum is cum_width[j] + (w_j - u_j), the addition that
-        made cum_width[j + 1], so each value is the float of the formula by
-        cases (inside an interval, between two, above the menu).  j is the
-        count of later starts at or below v: one search, in the starts after
-        the first, and 0 for every value of a one-interval menu.
-        """
-        us = np.asarray([u for u, _ in self.intervals])
-        widths = np.asarray([w - u for u, w in self.intervals])
-        later = us[1:]
-        cum_width = np.asarray(self._cum_width[:-1])
-        slope = self.slope
-
-        def curve(vs):
-            j = np.searchsorted(later, vs, side="right") if later.size else 0
-            out = vs - us.take(j)
-            np.maximum(out, 0.0, out=out)
-            np.minimum(out, widths.take(j), out=out)
-            out += cum_width.take(j)
-            out *= slope
-            return out
-
-        return curve
+        return _blockwise(self._curves()[1], v)
 
     def buyer_surplus(self, v):
         """q(v) v - m(v); nonnegative and nondecreasing in v."""
-        pay = self._payment_curve()
-        return _blockwise(lambda vs: self._allocation(vs) * vs - pay(vs), v)
+        q, m = self._curves()
+        return _blockwise(lambda vs: q(vs) * vs - m(vs), v)
+
+    def _curves(self):
+        """q and m on arrays of valuations in [0, 1], with the menu's arrays built once.
+
+        Each valuation reads one interval j, the last starting at or below v
+        (0 below the menu), by one search of the later starts (none for a
+        one-interval menu), and one clip, c = clip(v, u_j, w_j).  Then m(v) =
+        slope (cum_width[j] + c - u_j), and q(v) = slope (cum_log[j] +
+        ln(c/u_j)) inside interval j and slope cum_log[j + 1] from its end on,
+        capped at 1 and exactly 1 from the menu's top on.  Past interval j
+        each sum is the addition that made the next running sum, so each
+        value is the float of the formula by cases (inside an interval,
+        between two, above the menu).  q reads cum_log[j + 1] there rather
+        than adding numpy's log of w_j/u_j, which can differ from the
+        ``math.log`` in the running sums by an ulp.
+        """
+        us = np.asarray([u for u, _ in self.intervals])
+        ws = np.asarray([w for _, w in self.intervals])
+        later = us[1:]
+        cum_log = np.asarray(self._cum_log)
+        cum_width = np.asarray(self._cum_width[:-1])
+        # the last end's sum is inf: slope * inf caps to exactly 1 at the top
+        end_log = np.append(cum_log[1:-1], math.inf)
+        slope = self.slope
+
+        def locate(vs):
+            j = np.searchsorted(later, vs, side="right") if later.size else 0
+            u, w = us.take(j), ws.take(j)
+            return j, u, w, np.clip(vs, u, w)
+
+        def allocation(vs):
+            j, u, w, c = locate(vs)
+            out = np.where(c < w, np.log(c / u) + cum_log.take(j), end_log.take(j))
+            out *= slope
+            return np.minimum(out, 1.0, out=out)
+
+        def payment(vs):
+            j, u, _, c = locate(vs)
+            c -= u
+            c += cum_width.take(j)
+            c *= slope
+            return c
+
+        return allocation, payment
 
     def price_statistics(self) -> PriceStatistics:
         """Moments of the random price whose CDF is the allocation.

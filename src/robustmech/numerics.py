@@ -4,8 +4,8 @@ Every solver equation here is monotone, and its root is kept in a bracket
 down to adjacent floats.  ``bisect_root`` takes ITP steps; given f', it
 takes Newton steps while f looks linear around them (cuts gain and lose
 intervals, so the derivatives have kinks) and ITP steps otherwise.  The
-tolerances below are plain defaults of the function arguments; nothing here
-reads module state at call time.
+iteration cap and the quadrature's tolerance and depth are the constants
+below.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ from .errors import BracketError
 
 QUAD_TOL = 1e-10
 QUAD_MAX_DEPTH = 60
+#: ``bisect_root``'s cap, which allows for roots many orders below the bracket width
+_MAX_ITER = 1200
 
 
 @dataclass(frozen=True)
@@ -36,7 +38,6 @@ def bisect_root(
     hi: float,
     *,
     xtol: float = 0.0,
-    max_iter: int = 1200,
     flo: float | None = None,
     fhi: float | None = None,
     df: Callable[[float], float] | None = None,
@@ -52,8 +53,7 @@ def bisect_root(
     at most one step more than bisection reaches that width.  A step is the
     midpoint at an infinite end value, outside (a, b) and once the budget is
     spent.  It stops at an exact zero, at ``xtol`` (0 by default) or at
-    adjacent floats; the default cap allows for roots many orders below the
-    bracket width.
+    adjacent floats, or unconverged after ``_MAX_ITER`` steps.
 
     With ``df``, each point is the Newton step from the last one (an end of
     the bracket; the first from ``lo``, with slope ``dflo`` or else the
@@ -92,7 +92,7 @@ def bisect_root(
     budget = eps * 2.0 ** (math.ceil(math.log2((hi - lo) / (2.0 * eps))) + 1)
     mid = 0.5 * (a + b)
     x, fx, dfx, fprev, newton = lo, fa, dfa, math.inf, False
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         mid = 0.5 * (a + b)
         if mid <= a or mid >= b:
             # bracket has collapsed to adjacent floats
@@ -137,7 +137,7 @@ def bisect_root(
             b, fb = x, fx
         if b - a <= xtol:
             return RootResult(0.5 * (a + b), it, fx, True, dfx)
-    return RootResult(mid, max_iter, fx, False, dfx)
+    return RootResult(mid, _MAX_ITER, fx, False, dfx)
 
 
 def _simpson(fa, fm, fb, h):
@@ -165,11 +165,10 @@ def adaptive_simpson(
     a: float,
     b: float,
     *,
-    tol: float = QUAD_TOL,
-    max_depth: int = QUAD_MAX_DEPTH,
     split_points: Sequence[float] = (),
 ) -> float:
-    """Adaptive Simpson quadrature of ``f`` on [a, b].
+    """Adaptive Simpson quadrature of ``f`` on [a, b], to ``QUAD_TOL`` within
+    ``QUAD_MAX_DEPTH`` halvings.
 
     Known kink locations should be passed as ``split_points``; the integrand
     is assumed smooth between consecutive splits.
@@ -184,6 +183,6 @@ def adaptive_simpson(
         m = 0.5 * (lo + hi)
         flo, fm, fhi = f(lo), f(m), f(hi)
         whole = _simpson(flo, fm, fhi, hi - lo)
-        total += _adaptive(f, lo, hi, flo, fm, fhi, whole, tol, max_depth)
+        total += _adaptive(f, lo, hi, flo, fm, fhi, whole, QUAD_TOL, QUAD_MAX_DEPTH)
     return total
 

@@ -17,7 +17,7 @@ maxima in p) whose CCDF integrals from 0 to the grid prices are cached per
 reference, refined by Newton steps on the sign change of its slope in p, the
 first-order condition (k+1) ccdf(w) = k ccdf(u) of the same cut.  The search
 starts from its true end values, f < 0 at k = tau/mean and f >= 0 at
-k = tau/(pi0 - tau), returns the top end when f rounds to <= 0 there, and
+k = tau/(pi0 - tau), returns an end when f rounds to the other side there, and
 takes Newton steps in log k on the envelope slope of max_p rho_pp,
 rho - p k/(k+1) ccdf(p) at the best price p.
 """
@@ -181,13 +181,16 @@ def solve_pp(dist: ValuationDistribution, tau: float) -> PPSolveReport:
     # pricing at k/(k+1) * p0 earns at least k/(k+1) * pi0, so f >= 0 at
     # k = tau/(pi0 - tau); rho_pp*(k) < k * mean, so f < 0 at tau/mean.
     # When f rounds to <= 0 at the top, the root is that end (a two-atom
-    # reference's high branch)
+    # reference's high branch).  When f rounds to >= 0 at the bottom, the
+    # root is that end: at tiny k, rho_pp*(k) = k * mean - O(k^2), so the
+    # root is within O(k) relative of it
     k_hi = tau / (pi0 - tau)
     f_hi = price(k_hi)
     if f_hi > 0.0:
         t_lo = math.log(tau / dist.mean())
         f_lo = f(t_lo)
-        bisect_root(f, t_lo, math.log(k_hi), xtol=1e-12, flo=f_lo, fhi=f_hi, df=df, dflo=df(t_lo))
+        if f_lo < 0.0:
+            bisect_root(f, t_lo, math.log(k_hi), xtol=1e-12, flo=f_lo, fhi=f_hi, df=df, dflo=df(t_lo))
     # f is increasing, so the evaluation nearest the target is an end of
     # the last bracket, within the 1e-12 stop of the root
     k_pp, p, rho = min(evals, key=lambda e: abs(e[2] - tau))

@@ -191,7 +191,7 @@ def test_ccdf_integral_clamps_within_slack():
     assert dist.ccdf_integral(-1e-13, 1.0 + 1e-13) == dist.ccdf_integral(0.0, 1.0)
 
 
-@pytest.mark.parametrize("n", [-1, 2.5, "10", None])
+@pytest.mark.parametrize("n", [-1, 2.5, "10", None, True])
 @pytest.mark.parametrize(
     "dist",
     [Beta(2.0, 5.0), Uniform(), Mixture((Uniform(), Beta(2.0, 5.0)), (0.5, 0.5))],

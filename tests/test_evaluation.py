@@ -181,7 +181,7 @@ class TestExpectedRevenue:
         with pytest.raises(DomainError):
             expected_revenue(PostedPrice(0.5), uniform, "quasi")
 
-    @pytest.mark.parametrize("mc_n", [0, -5, 2.5, "100"])
+    @pytest.mark.parametrize("mc_n", [0, -5, 2.5, "100", True])
     def test_monte_carlo_sample_size_must_be_a_positive_integer(self, uniform, mc_n):
         with pytest.raises(DomainError, match="Monte Carlo sample size"):
             expected_revenue(PostedPrice(0.5), uniform, "monte_carlo", mc_n=mc_n)
@@ -403,7 +403,7 @@ class TestBetaSweep:
         assert a.rev_ro == pytest.approx(exact.rev_ro, abs=0.005)
         assert a.rev_pp == pytest.approx(exact.rev_pp, abs=0.005)
 
-    @pytest.mark.parametrize("mc_n", [-3, 2.5])
+    @pytest.mark.parametrize("mc_n", [-3, 2.5, True])
     def test_config_rejects_bad_monte_carlo_sample_size(self, mc_n):
         with pytest.raises(DomainError, match="Monte Carlo sample size"):
             SweepConfig(mc_n=mc_n)

@@ -111,6 +111,40 @@ class TestPayment:
         )
 
 
+def _curves_by_cases(mech, v):
+    """(q, m) at v by cases in scalar floats: below the menu or between two
+    intervals, inside one, above the menu; numpy's log, as the curves use."""
+    cum_log, cum_width, slope = mech._cum_log, mech._cum_width, mech.slope
+    for j, (u, w) in enumerate(mech.intervals):
+        if v < u:
+            return min(slope * cum_log[j], 1.0), slope * cum_width[j]
+        if v < w:
+            inside = cum_log[j] + float(np.log(v / u))
+            return min(slope * inside, 1.0), slope * (cum_width[j] + (v - u))
+    return 1.0, slope * cum_width[-1]
+
+
+class TestCurvesAtIntervalEnds:
+    @pytest.mark.parametrize("level", [0.2, 0.15], ids=["apart", "touching"])
+    def test_two_interval_cut_menus(self, two_point, level):
+        self._check(RandomizedLogMechanism.from_cut(cut(two_point, level)))
+
+    def test_two_interval_rs_menu(self, two_point):
+        self._check(solve(two_point, 0.25).mechanism)
+
+    @staticmethod
+    def _check(mech):
+        assert len(mech.intervals) == 2
+        ends = np.array([x for iv in mech.intervals for x in iv])
+        vs = np.concatenate([ends, np.nextafter(ends, 0.0), np.minimum(np.nextafter(ends, 2.0), 1.0)])
+        q, m, s = mech.allocation(vs), mech.payment(vs), mech.buyer_surplus(vs)
+        for i, v in enumerate(vs.tolist()):
+            q_v, m_v = _curves_by_cases(mech, v)
+            assert (q[i], m[i], s[i]) == (q_v, m_v, q_v * v - m_v), v
+        top = mech.intervals[-1][1]
+        assert np.all(mech.allocation(np.linspace(top, 1.0, 101)) == 1.0)
+
+
 class TestSurplus:
     def test_zero_at_zero(self, uniform_mech):
         assert uniform_mech.buyer_surplus(0.0) == 0.0

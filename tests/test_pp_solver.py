@@ -270,6 +270,19 @@ class TestFallbackSearch:
         assert rep.iterations == len(calls)
         assert rep.k_pp == pytest.approx(tau / (0.35 - tau), rel=1e-15)
 
+    @pytest.mark.parametrize(
+        "dist", [Beta(0.5, 0.5), TruncatedExponential(1e-6)], ids=["beta.5_.5", "texp1e-6"]
+    )
+    def test_tiny_target_prices_the_bottom_end(self, dist, monkeypatch):
+        # rho_pp*(k) = k mean - O(k^2) rounds to at least tau at k = tau/mean,
+        # so the root is that end of the bracket, within O(k) relative
+        calls = _count_prices(monkeypatch)
+        tau = 1e-12 * max_posted_revenue(dist)[0]
+        rep = solve_pp(dist, tau)
+        assert len(calls) == 2
+        assert rep.k_pp == pytest.approx(tau / dist.mean(), rel=1e-14)
+        assert 0.0 <= rep.residual <= 1e-8 * tau
+
     @pytest.mark.parametrize("k", [0.05, 0.42, 2.0, 9.0])
     @pytest.mark.parametrize(
         "dist", [Beta(0.5, 0.5), BIMODAL, QuadraticCCDF()], ids=["beta.5_.5", "bimodal", "quadratic"]

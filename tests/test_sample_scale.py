@@ -9,7 +9,8 @@ from a sample to a continuous law with a dense trapezoid grid, and with the
 distance from ITP-refined crossings it replaced; Beta draws with the bisection
 quantile every distribution inherits, with 50-digit mpmath quantiles and
 with scipy's ``betaincinv``, and the quantile table with the Halley kernel;
-mixture draws with the mixture mean.
+mixture draws with the mixture mean; and RS, PP and RO solves on the
+quantile discretization of a continuous law with solves on the law.
 """
 
 import math
@@ -46,6 +47,7 @@ from robustmech import (
     radius_for_target,
     rho_pp,
     solve,
+    solve_pp,
     solve_ro,
     tau_equiv,
     wasserstein_distance,
@@ -683,3 +685,40 @@ def test_from_samples_validation():
         Empirical.from_samples([])
     with pytest.raises(DomainError, match="outside"):
         Empirical.from_samples([0.2, 1.5])
+
+
+#: reference: (law, order q, C below 0.9 pi0, C at 0.9 pi0 and above).  With a
+#: density like x^(a-1) near 0 the first quantile cell adds about n^(-1-1/a)
+#: to W1, which sets q; each C is three times the worst n^q |relative error|
+#: measured over RS k*, PP k_pp and RO pi_ro* at n = 10^3 and 10^4, rounded up
+DISCRETIZED = {
+    "uniform": (Uniform(), 2.0, 6.0, 20.0),
+    "power3": (Power(3.0), 4.0 / 3.0, 7.0, 1.0),
+    "texp1": (TruncatedExponential(1.0), 2.0, 15.0, 350.0),
+    "beta2_5": (Beta(2.0, 5.0), 1.5, 30.0, 2.0),
+    "beta.5_.5": (Beta(0.5, 0.5), 2.0, 3.0, 400.0),
+    "bimodal": (Mixture((Beta(2.0, 10.0), Beta(10.0, 2.0)), (0.85, 0.15)), 1.5, 4.0, 70.0),
+}
+
+
+@pytest.mark.parametrize("name", DISCRETIZED)
+def test_quantile_discretization_solves_converge_to_the_law(name):
+    # E_n puts mass 1/n on each quantile Q((i - 1/2)/n): the empirical and
+    # continuous paths (level table and revenue grid, their own kernels) must
+    # agree to C/n^q; at n = 10^4 every bound but Power(3)'s and Beta(2,5)'s
+    # below 0.9 pi0 and the mixture's above sits below the first-order scale
+    # W1 ~ 1/(4n)
+    law, q, c_mid, c_high = DISCRETIZED[name]
+    pi0 = max_posted_revenue(law)[0]
+    for n in (1_000, 10_000):
+        sample = Empirical.from_samples(law.quantile((np.arange(n) + 0.5) / n))
+        for frac in (0.01, 0.1, 0.3, 0.45, 0.7, 0.9, 0.95):
+            tau = frac * pi0
+            r = radius_for_target(law, tau)
+            bound = (c_high if frac >= 0.9 else c_mid) / n**q
+            for what, exact, approx in (
+                ("RS k*", solve(law, tau).k_star, solve(sample, tau).k_star),
+                ("PP k_pp", solve_pp(law, tau).k_pp, solve_pp(sample, tau).k_pp),
+                ("RO pi_ro*", solve_ro(law, r).pi_ro_star, solve_ro(sample, r).pi_ro_star),
+            ):
+                assert abs(approx / exact - 1.0) <= bound, (what, n, frac)
