@@ -128,15 +128,13 @@ def _cmd_compare(args) -> int:
     ref = _load_dist(args.reference)
     if (args.tau is None) == (args.r is None):
         return _usage_error("compare needs exactly one of --tau or --r")
-    if args.tau is not None:
-        tau = args.tau
-        r = ro_solver.radius_for_target(ref, tau)
-    else:
-        r = args.r
-        tau = ro_solver.pi_ro_star(ref, r)
+    r = args.r if args.tau is None else ro_solver.radius_for_target(ref, args.tau)
+    ro_rep = ro_solver.solve_ro(ref, r)
+    # under --r the target is the worst-case revenue at that radius
+    tau = ro_rep.pi_ro_star if args.tau is None else args.tau
+    ro_mech = ro_rep.mechanism
     rs_rep = rs_solver.solve(ref, tau)
     pp_rep = pp_solver.solve_pp(ref, tau)
-    ro_mech = ro_solver.build_ro_mechanism(ref, r)
     crossings = evaluation.crossing_thresholds(rs_rep.mechanism, ro_mech)
     out = _base_report(args, ref)
     out.update(

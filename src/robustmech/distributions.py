@@ -257,6 +257,11 @@ class TruncatedExponential(ValuationDistribution):
 
     def mean(self):
         lam = self.rate
+        if lam < 0.1:
+            # the closed form below cancels at small rates (4e-11 relative
+            # off at 1e-6); the Bernoulli series of 1/lam - 1/expm1(lam)
+            l2 = lam * lam
+            return 0.5 - lam * (1 / 12 - l2 * (1 / 720 - l2 * (1 / 30240 - l2 / 1209600)))
         return 1.0 / lam - math.exp(-lam) / self._z
 
     def _integrals(self, a, b):

@@ -59,20 +59,15 @@ def _check_radius(dist: ValuationDistribution, r: float) -> None:
         raise RadiusTooLargeError(r, mu0)
 
 
-def _pi_ro_cut(
-    dist: ValuationDistribution, r: float
-) -> tuple[IsoRevenueCut, int, float]:
-    """Cut at the root of gap(pi) = r, with the search's iterations and residual."""
+def _pi_ro_cut(dist: ValuationDistribution, r: float) -> tuple[IsoRevenueCut, int]:
+    """Cut at the root of gap(pi) = r, and the levels the search evaluated."""
     _check_radius(dist, r)
     pi0, _ = max_posted_revenue(dist)
     if r == 0.0:
-        return cut(dist, pi0), 0, 0.0
+        return cut(dist, pi0), 0
     # the gap falls from the mean at level 0 to zero at pi0, with slope -log_sum
-    c, res = level_search(dist, lambda c: r - c.gap, math.log(pi0), lambda c: c.log_sum)
-    if res is None:
-        return c, 0, c.gap - r
-    # report gap - r; subtracting from +0.0 keeps an exact root at +0.0
-    return c, res.iterations, 0.0 - res.residual
+    c, iterations = level_search(dist, lambda c: r - c.gap, math.log(pi0), lambda c: c.log_sum)
+    return c, iterations or 0
 
 
 def _mechanism(dist: ValuationDistribution, c: IsoRevenueCut) -> Mechanism:
@@ -104,7 +99,7 @@ def ro_pp_price_uniform(r: float) -> float:
 def tau_equiv(dist: ValuationDistribution, r: float) -> float:
     """Satisficing target at which the two robust frameworks produce the same
     mechanism: pi_ro_star(r) + r / sum(ln(w/u)) over the cut at that level."""
-    c, _, _ = _pi_ro_cut(dist, r)
+    c, _ = _pi_ro_cut(dist, r)
     return c.pi + r / c.log_sum if c.intervals else c.pi
 
 
@@ -122,15 +117,15 @@ def radius_for_target(dist: ValuationDistribution, tau: float) -> float:
 
 def solve_ro(dist: ValuationDistribution, r: float) -> ROSolveReport:
     """Full worst-case-optimal solve at radius r."""
-    c, it, resid = _pi_ro_cut(dist, r)
+    c, iterations = _pi_ro_cut(dist, r)
     pp_price = ro_pp_price_uniform(r) if isinstance(dist, Uniform) else None
     return ROSolveReport(
         r=r,
         pi_ro_star=c.pi,
         mechanism=_mechanism(dist, c),
         pp_price_uniform=pp_price,
-        iterations=it,
-        residual=resid,
+        iterations=iterations,
+        residual=c.gap - r,
     )
 
 

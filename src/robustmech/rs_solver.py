@@ -11,7 +11,8 @@ iso-revenue cut: with L(pi) = sum_j ln(w_j/u_j) over the cut intervals,
   rho(pi) = pi + gap(pi)/L(pi) >= pi, nondecreasing in pi,
 
 so ``level_search`` solves rho(pi) = tau, as gap - (tau - pi) L = 0, and
-k* = 1/L(pi*).  When pi* underflows the floor level, the floor cut already
+k* = 1/L(pi*).  Its probes step down from log(tau) to the floor level; when
+rho at the floor still reaches tau, pi* underflows it, the floor cut already
 covers the reference and k* = tau / int ccdf over it.  The optimal mechanism
 is the randomized log menu on the cut at pi*.  The RO solver picks its
 level with ``level_search`` too.
@@ -20,7 +21,7 @@ level with ``level_search`` too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
@@ -28,7 +29,7 @@ from .distributions import Empirical, ValuationDistribution, max_posted_revenue
 from .errors import DomainError, InfeasibleTargetError, check_target
 from .isorevenue import LOG_LEVEL_FLOOR, IsoRevenueCut, LevelQuery, cut, gap_only, level_query
 from .mechanisms import RandomizedLogMechanism
-from .numerics import RootResult, bisect_root
+from .numerics import bisect_root
 from .records import Record
 
 __all__ = ["SolveReport", "fragility_adjusted_revenue", "pi_star", "rho_star", "solve"]
@@ -57,7 +58,8 @@ def fragility_adjusted_revenue(
 
 
 #: offsets below log_hi, in log(level), of the levels cut before the root
-#: finder starts; it starts from the first with a negative excess
+#: finder starts, down to the floor; it starts from the first with a negative
+#: excess
 _PROBE_STEPS = (1.0, 4.0, 16.0, 64.0, 256.0)
 
 
@@ -66,21 +68,20 @@ def level_search(
     excess: Callable[[IsoRevenueCut | LevelQuery], float],
     log_hi: float,
     slope: Callable[[IsoRevenueCut | LevelQuery], float],
-) -> tuple[IsoRevenueCut, RootResult | None]:
-    """Cut at the root of ``excess(cut(pi))``, and the search (None when
-    ``excess`` is already nonnegative at the floor level, whose cut is then
-    returned).  The search's ``iterations`` counts every level it evaluated
-    after the floor.
+) -> tuple[IsoRevenueCut, int | None]:
+    """Cut at the root of ``excess(cut(pi))``, and the number of levels the
+    search evaluated (None when ``excess`` is already nonnegative at the
+    floor level, whose cut is then returned).
 
     ``excess`` is nondecreasing in the level and taken as +inf at ``log_hi``;
-    ``slope(cut)`` is d excess / d pi.  After the floor, the levels
-    log_hi - 1, - 4, - 16, - 64 and - 256 are evaluated down to the first
-    with a negative excess (or the floor), and log(pi) is searched by Newton
-    steps between that level and the last one above it down to adjacent
-    floats, so the level keeps float resolution at every scale (about 9
-    cuts, floor and probes included).
+    ``slope(cut)`` is d excess / d pi.  The levels log_hi - 1, - 4, - 16,
+    - 64, - 256 and then the floor are evaluated down to the first with a
+    negative excess, and log(pi) is searched by Newton steps between that
+    level and the last one above it down to adjacent floats, so the level
+    keeps float resolution at every scale (5 to 12 cuts on closed-form
+    references, probes included).
 
-    On an empirical reference the floor, the probes and the search evaluate
+    On an empirical reference the probes and the search evaluate
     ``level_query`` (two binary searches) instead of ``cut``, so ``excess``
     and ``slope`` read only ``pi``, ``gap``, ``log_sum`` and ``dlog_sum``.
     The search then finishes with Newton steps in log(pi) on exact cuts from
@@ -89,13 +90,9 @@ def level_search(
     """
     queried = isinstance(dist, Empirical)
     evaluate = partial(level_query if queried else cut, dist)
-    floor = evaluate(math.exp(LOG_LEVEL_FLOOR))
-    flo = excess(floor)
-    if flo >= 0.0:
-        return (cut(dist, floor.pi) if queried else floor), None
     # the root is the last level evaluated on one side of the sign change
-    ends = {True: floor}
-    last = floor
+    ends = {}
+    last = None
     evaluations = 0
 
     def f(t: float) -> float:
@@ -110,20 +107,19 @@ def level_search(
         # the slope in log(level), at the level f(t) just evaluated
         return last.pi * slope(last)
 
-    lo, hi, fhi, dflo = LOG_LEVEL_FLOOR, log_hi, math.inf, df(LOG_LEVEL_FLOOR)
-    for step in _PROBE_STEPS:
-        t = log_hi - step
-        if t <= LOG_LEVEL_FLOOR:
+    hi, fhi = log_hi, math.inf
+    ladder = [log_hi - step for step in _PROBE_STEPS if log_hi - step > LOG_LEVEL_FLOOR]
+    for lo in ladder + [LOG_LEVEL_FLOOR]:
+        flo = f(lo)
+        if flo < 0.0:
             break
-        e = f(t)
-        if e < 0.0:
-            lo, flo, dflo = t, e, df(t)
-            break
-        hi, fhi = t, e
-    res = bisect_root(f, lo, hi, flo=flo, fhi=fhi, df=df, dflo=dflo)
+        hi, fhi = lo, flo
+    else:
+        return (cut(dist, last.pi) if queried else last), None
+    t = bisect_root(f, lo, hi, flo=flo, fhi=fhi, df=df, dflo=df(lo)).root
     if queried:
         evaluate = partial(cut, dist)
-        t, e = res.root, f(res.root)
+        e = f(t)
         while e != 0.0:
             d = df(t)
             step = t - e / d if d else math.nan
@@ -134,13 +130,12 @@ def level_search(
             t, e = step, e_step
             if crossed:
                 break
-        return last, replace(res, root=t, iterations=evaluations, residual=e)
-    res = replace(res, iterations=evaluations)
-    level = math.exp(res.root)
+        return last, evaluations
+    level = math.exp(t)
     for c in ends.values():
         if c.pi == level:
-            return c, res
-    return cut(dist, level), res
+            return c, evaluations
+    return cut(dist, level), evaluations
 
 
 def _pi_star_cut(dist: ValuationDistribution, k: float) -> IsoRevenueCut:
@@ -180,25 +175,25 @@ def solve(dist: ValuationDistribution, tau: float) -> SolveReport:
     # at (pi - tau) dlog_sum as the gap moves as -log_sum; an empty cut
     # (log_sum = 0) sits at the tangency (k = inf), and rho(tau) >= tau
     # closes the bracket
-    c, res = level_search(
+    c, iterations = level_search(
         dist, lambda c: c.gap - (tau - c.pi) * c.log_sum if c.log_sum > 0.0 else math.inf,
         math.log(tau), lambda c: (c.pi - tau) * c.dlog_sum,
     )
-    if res is None:
+    integral = math.fsum(dist.ccdf_integral(u, w) for u, w in c.intervals)
+    if iterations is None:
         # pi* underflows the floor level; the cut there already covers the
         # reference up to a negligible measure, so k* = tau / int ccdf is exact
         warnings = (
             f"pi* underflows the floor level exp({LOG_LEVEL_FLOOR:g}); "
             "the cut at the floor is reported",
         )
-        k_star = tau / math.fsum(dist.ccdf_integral(u, w) for u, w in c.intervals)
-        iterations = 0
+        k_star, iterations = tau / integral, 0
+    elif not c.intervals:
+        # tau is within the tangency resolution of pi0
+        raise InfeasibleTargetError(tau, pi0)
     else:
-        if not c.intervals:
-            # tau is within the tangency resolution of pi0
-            raise InfeasibleTargetError(tau, pi0)
-        k_star, iterations = 1.0 / c.log_sum, res.iterations
-    rho = k_star * math.fsum(dist.ccdf_integral(u, w) for u, w in c.intervals)
+        k_star = 1.0 / c.log_sum
+    rho = k_star * integral
     return SolveReport(
         tau=tau,
         k_star=k_star,

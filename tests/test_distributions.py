@@ -107,6 +107,15 @@ class TestMean:
         assert 0.0 < dist.mean() <= 1.0
 
 
+    @pytest.mark.parametrize("rate", [10.0**j for j in range(-12, 3)] + [0.05, 700.0])
+    def test_truncated_exponential_matches_mpmath(self, rate):
+        # 1/rate - 1/expm1(rate) cancels at small rates
+        with mpmath.workdps(50):
+            lam = mpmath.mpf(rate)
+            want = 1 / lam - 1 / mpmath.expm1(lam)
+        assert abs(TruncatedExponential(rate).mean() - want) <= 2e-15 * want
+
+
 class TestCcdfIntegral:
     @pytest.mark.parametrize("dist", ALL_KINDS, ids=lambda d: d.to_json()["kind"])
     @pytest.mark.parametrize("bounds", [(0.0, 1.0), (0.1, 0.6), (0.35, 0.9)])

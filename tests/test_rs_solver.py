@@ -11,6 +11,7 @@ from robustmech import (
     Power,
     TruncatedExponential,
     Uniform,
+    cut,
     expected_revenue,
     fragility_adjusted_revenue,
     gap_only,
@@ -25,6 +26,7 @@ from robustmech import (
     tau_equiv,
     wasserstein_distance,
 )
+from robustmech.isorevenue import LOG_LEVEL_FLOOR
 
 LN_14_3 = math.log(14.0 / 3.0)
 LN_7_6 = math.log(7.0 / 6.0)
@@ -239,21 +241,27 @@ class TestLevelSearch:
         monkeypatch.setattr(rs_solver, "cut", recording_cut)
         return levels
 
-    @pytest.mark.parametrize(
-        "search",
-        [
-            pytest.param(lambda d: solve(d, 0.45 * max_posted_revenue(d)[0]), id="solve"),
-            pytest.param(lambda d: pi_star(d, 0.56), id="pi_star"),
-            pytest.param(lambda d: solve_ro(d, 0.1 * d.mean()), id="solve_ro"),
-            pytest.param(lambda d: tau_equiv(d, 0.1 * d.mean()), id="tau_equiv"),
-        ],
-    )
+    MID_RANGE_SEARCHES = [
+        pytest.param(lambda d: solve(d, 0.45 * max_posted_revenue(d)[0]), id="solve"),
+        pytest.param(lambda d: pi_star(d, 0.56), id="pi_star"),
+        pytest.param(lambda d: solve_ro(d, 0.1 * d.mean()), id="solve_ro"),
+        pytest.param(lambda d: tau_equiv(d, 0.1 * d.mean()), id="tau_equiv"),
+    ]
+
+    @pytest.mark.parametrize("search", MID_RANGE_SEARCHES)
     @pytest.mark.parametrize("fixture", ["uniform", "beta25"])
     def test_no_level_is_cut_twice(self, search, fixture, request, cut_levels):
         dist = request.getfixturevalue(fixture)
         search(dist)
         assert len(cut_levels) > 2
         assert len(set(cut_levels)) == len(cut_levels)
+
+    @pytest.mark.parametrize("search", MID_RANGE_SEARCHES)
+    @pytest.mark.parametrize("fixture", ["uniform", "beta25"])
+    def test_mid_range_searches_leave_the_floor_uncut(self, search, fixture, request, cut_levels):
+        # the floor is the probe ladder's last rung, under log_hi - 256
+        search(request.getfixturevalue(fixture))
+        assert math.exp(LOG_LEVEL_FLOOR) not in cut_levels
 
     def test_pi_star_below_floor_returns_floor_cut(self, uniform):
         # the root exp(-1/k) ~ exp(-1000) underflows the floor level
@@ -270,10 +278,10 @@ class TestLevelSearch:
     )
     def test_cuts_per_solve(self, dist, frac, cut_levels):
         # probes down from log(tau) and Newton steps between two of them take
-        # 7-12 cuts; ITP steps took 12-17, ITP from the floor about 20 and
+        # 6-11 cuts; ITP steps took 12-17, ITP from the floor about 20 and
         # plain bisection of log(level) about 60
         solve(dist, frac * max_posted_revenue(dist)[0])
-        assert 2 < len(cut_levels) <= 12
+        assert 2 < len(cut_levels) <= 11
 
     @pytest.mark.parametrize("frac", [0.05, 0.45, 0.95])
     @pytest.mark.parametrize(
@@ -286,10 +294,10 @@ class TestLevelSearch:
     )
     def test_ro_cuts_per_solve(self, dist, frac, cut_levels):
         # the radius whose worst-case revenue is frac * pi0: Newton steps take
-        # 6-13 cuts, ITP steps took 12-35
+        # 5-12 cuts, ITP steps took 12-35
         r = radius_for_target(dist, frac * max_posted_revenue(dist)[0])
         solve_ro(dist, r)
-        assert 2 < len(cut_levels) <= 14
+        assert 2 < len(cut_levels) <= 12
 
     @pytest.mark.parametrize("frac", [0.05, 0.45, 0.95])
     @pytest.mark.parametrize(
@@ -316,9 +324,25 @@ class TestLevelSearch:
     )
     @pytest.mark.parametrize("fixture", ["uniform", "beta25"])
     def test_iterations_count_every_level_cut(self, search, fixture, request, cut_levels):
-        # every level after the floor, the probes included
+        # every level evaluated, the probes included
         report = search(request.getfixturevalue(fixture))
-        assert report.iterations == len(cut_levels) - 1
+        assert report.iterations == len(cut_levels)
+
+    @pytest.mark.parametrize("frac", [0.01, 0.05, 0.2, 0.45, 0.7, 0.95, 0.99])
+    @pytest.mark.parametrize(
+        "dist",
+        [
+            pytest.param(Uniform(), id="uniform"),
+            pytest.param(Beta(2.0, 5.0), id="beta25"),
+            pytest.param(Beta(0.5, 0.5), id="beta.5_.5"),
+            pytest.param(TruncatedExponential(1.0), id="texp1"),
+        ],
+    )
+    def test_ro_residual_is_the_reported_cuts(self, dist, frac):
+        # gap - r at pi_ro_star itself, not at the other end of the bracket
+        r = radius_for_target(dist, frac * max_posted_revenue(dist)[0])
+        rep = solve_ro(dist, r)
+        assert rep.residual == cut(dist, rep.pi_ro_star).gap - r
 
     @pytest.mark.parametrize(
         "search",

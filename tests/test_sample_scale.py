@@ -270,7 +270,7 @@ def test_empirical_solves_match_exact_cut_searches_and_loop_oracles(key):
 
 
 def test_searches_on_a_large_sample_make_few_exact_cuts(monkeypatch):
-    # the floor, the probes and the search read level queries; only the
+    # the probes and the search read level queries; only the
     # finishing Newton steps cut (7-18 cuts each when every level was cut)
     ref = Empirical.from_samples(np.random.default_rng(34).beta(2.0, 5.0, 100_000))
     pi0, _ = max_posted_revenue(ref)
