@@ -14,7 +14,10 @@ All distribution objects are immutable after construction and every operation
 is a pure function, so instances are safe for concurrent use.
 
 ``scipy.special``, slower to import than the rest, is bound on the first
-``Beta`` (unpickled ones too) or read of ``distributions.betainc``.
+evaluation of a ``Beta`` off the integer shapes, the first Beta quantile
+table (any Beta draw), or the first read of ``distributions.betainc``: a
+``Beta`` on integer shapes with alpha + beta <= 57 evaluates its CCDF and
+CCDF integrals as binomial sums, without scipy.
 """
 
 from __future__ import annotations
@@ -281,9 +284,13 @@ class TruncatedExponential(ValuationDistribution):
 class Beta(ValuationDistribution):
     """Beta(alpha, beta) distribution; CCDF via the regularized incomplete beta.
 
-    The CCDF is 1 - I(alpha, beta, x) below x = 1/2 and I(beta, alpha, 1 - x),
-    with 1 - x exact, above it.  The density uses ``math``, with log B(alpha,
-    beta) from ``math.lgamma`` once per shape.
+    On integer shapes with alpha + beta <= 57 the CCDF and the partial-mean
+    term are binomial tails (Abramowitz and Stegun 26.5.24), finite sums of
+    positive terms on all of [0, 1] (see ``_binomial_tail``), chosen once per
+    shape.  On other shapes the CCDF is 1 - I(alpha, beta, x) below x = 1/2
+    and I(beta, alpha, 1 - x), with 1 - x exact, above it, from scipy's
+    ``betainc``.  The density uses ``math``, with log B(alpha, beta) from
+    ``math.lgamma`` once per shape.
 
     The quantile reads draws off a cached table of quintic polynomials, one
     per cell between ``betaincinv`` knots, built once per shape and
@@ -298,7 +305,8 @@ class Beta(ValuationDistribution):
     draws that step moved by more than 1e-5 relative, bracketing any that
     still move.  Above u = 1/2 both solve I(beta, alpha, y) = 1 - u in
     y = 1 - x instead, so that each draw keeps its precision relative to the
-    nearer end of [0, 1] (see ``_beta_knots``).
+    nearer end of [0, 1] (see ``_beta_knots``).  Sampling, and every shape
+    off the binomial sums, binds scipy on first use.
     """
 
     alpha: float
@@ -307,15 +315,36 @@ class Beta(ValuationDistribution):
     def __post_init__(self):
         if not all(math.isfinite(s) and s > 0.0 for s in (self.alpha, self.beta)):
             raise DomainError("beta shape parameters must be finite and positive")
-        _bind_scipy()
         a, b = self.alpha, self.beta
         object.__setattr__(self, "_log_b", math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
-
-    def __reduce__(self):
-        # rebuild through __init__, so an unpickled Beta binds scipy too
-        return type(self), (self.alpha, self.beta)
+        # the binomial tails' exponents and coefficients: b and C(b-1+j, j),
+        # j < a, for the CCDF, a + 1 and C(a+j, j), j < b, for I_x(a+1, b);
+        # None off the integer shapes
+        sums = None
+        if float(a).is_integer() and float(b).is_integer() and a + b <= _BINOMIAL_SHAPES:
+            n, m = int(a), int(b)
+            sums = (
+                m,
+                tuple(float(math.comb(m - 1 + j, j)) for j in range(n)),
+                n + 1,
+                tuple(float(math.comb(n + j, j)) for j in range(m)),
+            )
+        object.__setattr__(self, "_sums", sums)
 
     def _ccdf(self, xs):
+        if self._sums is not None:
+            if xs.ndim == 0:
+                return self._binomial_ccdf(float(xs))
+            # in blocks, so that the sums' scratch arrays stay small beside
+            # the output
+            out = np.empty(xs.shape)
+            flat, flat_out = xs.reshape(-1), out.reshape(-1)
+            for start in range(0, flat.size, _BINOMIAL_BLOCK):
+                flat_out[start : start + _BINOMIAL_BLOCK] = self._binomial_ccdf(
+                    flat[start : start + _BINOMIAL_BLOCK]
+                )
+            return out
+        _bind_scipy()
         a, b = self.alpha, self.beta
         if xs.ndim:
             # each half with scalar shapes: no full-size arrays of shapes and
@@ -329,6 +358,12 @@ class Beta(ValuationDistribution):
         x = float(xs)
         return betainc(b, a, np.float64(1.0 - x)) if x >= 0.5 else 1.0 - betainc(a, b, xs)
 
+    def _binomial_ccdf(self, x):
+        # (1 - x)**b sum_{j<a} C(b-1+j, j) x**j; (1 - y) - x is exactly the
+        # rounding error of y = 1 - x (Fast2Sum)
+        y = 1.0 - x
+        return _binomial_tail(y, self._sums[0], x, self._sums[1], (1.0 - y) - x)
+
     def _pdf(self, x):
         a, b = self.alpha, self.beta
         return math.exp((a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x) - self._log_b)
@@ -339,6 +374,11 @@ class Beta(ValuationDistribution):
     def _partial_mean_integral(self, x):
         # integral of the CCDF from 0 to x:
         #   x * ccdf(x) + mean * I_x(alpha + 1, beta)
+        if self._sums is not None:
+            # I_x(a+1, b) = x**(a+1) sum_{j<b} C(a+j, j) (1 - x)**j
+            _, _, n, upper = self._sums
+            return x * self._binomial_ccdf(x) + self.mean() * _binomial_tail(x, n, 1.0 - x, upper)
+        _bind_scipy()
         return x * (1.0 - betainc(self.alpha, self.beta, x)) + self.mean() * betainc(
             self.alpha + 1.0, self.beta, x
         )
@@ -351,6 +391,37 @@ class Beta(ValuationDistribution):
 
     def to_json(self):
         return {"kind": "beta", "alpha": self.alpha, "beta": self.beta}
+
+
+#: integer shapes with alpha + beta up to this take the binomial tails: their
+#: coefficients, up to C(56, 28) ~ 7.6e15 < 2**53, are exact floats
+_BINOMIAL_SHAPES = 57
+#: values per block of an array CCDF: under 1 MB of scratch arrays
+_BINOMIAL_BLOCK = 16_384
+
+
+def _binomial_tail(p, n: int, q, coef: tuple[float, ...], dp=0.0):
+    """(p + dp)**n * sum_j coef[j] q**j, a probability, for p, q in [0, 1], a
+    float or an array, and dp the rounding error of p (|dp| <= ulp(p) / 2).
+
+    The power is p**(n-1) (p + n dp), to first order in dp, with p**(n-1) by
+    repeated squaring; the sum is by Horner's rule.  All terms are positive,
+    and only * and + are used, so a float and an array get the same bits.
+    Where the tail is 1 - O(x**2) rounding can carry it an ulp above 1, so it
+    is capped there."""
+    power, n = p + n * dp, n - 1
+    while n:
+        if n & 1:
+            power = power * p
+        n >>= 1
+        p = p * p
+    total = coef[-1]
+    for c in coef[-2::-1]:
+        total = total * q + c
+    out = power * total
+    if isinstance(out, np.ndarray):
+        return np.minimum(out, 1.0, out=out)
+    return out if out < 1.0 else 1.0
 
 
 #: cells of width 1 / 1024 in [0, 1]: the kernel's knots are at w = k / 1024,
@@ -394,6 +465,7 @@ def _beta_knots(a: float, b: float):
     to its split.  The table holds the lower side's columns, then the upper
     side's (see ``_side_table``).
     """
+    _bind_scipy()
     split = max(0.5, float(betainc(a, b, 2.0**-10)))
     lower, low_table = _side_table(a, b, math.ceil(split * _QUANTILE_CELLS))
     upper, up_table = _side_table(b, a, max(math.ceil((1.0 - split) * _QUANTILE_CELLS), 1))

@@ -153,17 +153,25 @@ class RandomizedLogMechanism:
     def price_statistics(self) -> PriceStatistics:
         """Moments of the random price whose CDF is the allocation.
 
-        The price density is slope/v on each interval, so the raw moments have
-        closed antiderivatives: E[p^n] = slope * sum (w^n - u^n) / n.
+        The price density is slope/v on each interval, slope = 1/sum ln(w/u).
+        Each interval's mass, mean and central moments come without
+        cancellation from ``_interval_moments``; the menu's central moments
+        add them about the mean by the parallel-axis sums.  Each interval's
+        offset from the mean is taken from its offset to the first
+        interval's mean, so that a one-interval menu adds no offset at all.
         """
-        k = self.slope
-        m1 = k * math.fsum(w - u for u, w in self.intervals)
-        m2 = k * math.fsum((w * w - u * u) / 2.0 for u, w in self.intervals)
-        m3 = k * math.fsum((w**3 - u**3) / 3.0 for u, w in self.intervals)
-        var = m2 - m1 * m1
-        central3 = m3 - 3.0 * m1 * var - m1**3
+        parts = [_interval_moments(u, w) for u, w in self.intervals]
+        total = math.fsum(mass for mass, _, _, _ in parts)
+        anchor = parts[0][1]
+        shift = math.fsum(mass * (mu - anchor) for mass, mu, _, _ in parts) / total
+        offsets = [(mu - anchor) - shift for _, mu, _, _ in parts]
+        mean = math.fsum(w - u for u, w in self.intervals) / total
+        var = math.fsum(c2 + mass * e * e for (mass, _, c2, _), e in zip(parts, offsets)) / total
+        central3 = math.fsum(
+            c3 + e * (3.0 * c2 + mass * e * e) for (mass, _, c2, c3), e in zip(parts, offsets)
+        ) / total
         skew = central3 / var**1.5 if var > 0.0 else 0.0
-        return PriceStatistics(m1, var, skew)
+        return PriceStatistics(mean, var, skew)
 
     def price_quantile(self, u):
         """Inverse CDF of the random price (for inverse-CDF sampling)."""
@@ -186,6 +194,45 @@ class RandomizedLogMechanism:
 
     def describe(self) -> str:
         return f"randomized_log(J={len(self.intervals)}, slope={self.slope:.6g})"
+
+
+#: below this ratio (w - u)/(w + u) ``_interval_moments`` expands about the
+#: interval's centre, and above it about 0, where that cancels less
+_CENTRE_RATIO = 0.9
+
+
+def _interval_moments(u: float, w: float) -> tuple[float, float, float, float]:
+    """Mass, mean and second and third central moments of the measure dv/v on
+    [u, w], 0 < u < w, the central moments unnormalized (as integrals).
+
+    Take the centre c = (u + w)/2 and r = (w - u)/(w + u).  The moments of
+    (v - c)**j dv/v are c**j G_j, with G_0 = ln(w/u), G_2 = 2 r**3/3 + E,
+    G_1 = -G_2 and G_3 = -E, where E = 2 sum_{l>=0} r**(2l+5)/(2l+5), all
+    positive terms.  With D = G_2/G_0, the central moments are
+    c**2 G_2 2r/G_0 (as G_0 - G_2 = 2r) and c**3 (G_2 D (3 - 2D) - E).
+    Below ``_CENTRE_RATIO`` these sum the series by Horner's rule; above
+    it, where the series converges slowly, the raw moments about 0 of a
+    wide interval cancel by at most a factor of about 20.
+    """
+    width = w - u
+    mass = math.log1p(width / u)
+    mean = width / mass
+    r = width / (w + u)
+    if r >= _CENTRE_RATIO:
+        m2 = 0.5 * width * (w + u)
+        m3 = width * (w * w + w * u + u * u) / 3.0
+        return mass, mean, m2 - mean * width, m3 - mean * (3.0 * m2 - 2.0 * mean * width)
+    r2 = r * r
+    # enough terms that the first one left out is below 1e-17 of the first
+    terms = 1 if r2 < 1e-17 else math.ceil(math.log(1e-17) / math.log(r2))
+    e = 0.0
+    for j in range(2 * terms + 3, 4, -2):
+        e = 1.0 / j + r2 * e
+    e *= 2.0 * r2 * r2 * r
+    g2 = 2.0 * r2 * r / 3.0 + e
+    d = g2 / mass
+    c = 0.5 * (u + w)
+    return mass, mean, c * c * g2 * 2.0 * r / mass, c**3 * (g2 * d * (3.0 - 2.0 * d) - e)
 
 
 def _as_prob(u):

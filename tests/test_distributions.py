@@ -262,11 +262,57 @@ class TestBetaUpperTail:
         # 1 - betainc(2, 5, 0.9999) is 0.0
         assert Beta(2.0, 5.0).ccdf(0.9999) == pytest.approx(5.9995e-20, rel=1e-12)
 
-    def test_arrays_match_scalars(self):
-        dist = Beta(0.5, 3.0)
+    @pytest.mark.parametrize("shape", [(0.5, 3.0), (2.0, 5.0), (10.0, 10.0)])
+    def test_arrays_match_scalars(self, shape):
+        dist = Beta(*shape)
         xs = np.concatenate((np.linspace(0.0, 1.0, 1001), [0.5 - 1e-17, 0.5, 1.0 - 1e-12]))
         got = dist.ccdf(xs)
         assert got.tolist() == [dist.ccdf(float(x)) for x in xs]
+
+
+class TestBetaBinomialSums:
+    """Integer shapes with alpha + beta <= 57 sum their binomial tails; the
+    other shapes keep scipy's ``betainc``."""
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(a, b) for a in range(1, 11) for b in range(1, 11)] + [(1, 56), (28, 29)],
+        ids=str,
+    )
+    def test_ccdf_and_partial_integrals_match_mpmath(self, shape):
+        a, b = shape
+        dist = Beta(float(a), float(b))
+        rng = np.random.default_rng(a * 100 + b)
+        xs = [1e-12, 1e-8, 0.25, 0.5, 0.9999, 1.0 - 1e-8] + rng.random(6).tolist()
+        for x in xs:
+            with mpmath.workdps(50):
+                ccdf = mp_ccdf(dist, x)
+                # x ccdf(x) + mean I_x(a+1, b): two positive terms
+                lower = mpmath.mpf(x) * ccdf + mpmath.mpf(a) / (a + b) * mpmath.betainc(
+                    a + 1, b, 0, x, regularized=True
+                )
+            for got, want in (
+                (dist.ccdf(x), ccdf),
+                (dist.ccdf_integral(0.0, x), lower),
+                (dist._partial_mean_integral(x), lower),
+            ):
+                # below about 1e-292 the power's last factor is subnormal
+                if want > 1e-280:
+                    assert abs(got - want) <= 1e-14 * want, (x, got, want)
+
+    @pytest.mark.parametrize("shape", [(0.5, 0.5), (3.0, 0.7), (28.0, 30.0)])
+    def test_other_shapes_are_betainc_to_the_bit(self, shape):
+        from scipy.special import betainc
+
+        a, b = shape
+        dist = Beta(a, b)
+        xs = np.concatenate((np.linspace(0.0, 1.0, 257), [1e-12, 0.5 - 1e-17, 1.0 - 1e-12]))
+        low = xs < 0.5
+        want = np.where(low, 1.0 - betainc(a, b, xs), betainc(b, a, 1.0 - xs))
+        assert dist.ccdf(xs).tolist() == want.tolist()
+        assert [dist.ccdf(float(x)) for x in xs] == want.tolist()
+        lower = xs * (1.0 - betainc(a, b, xs)) + dist.mean() * betainc(a + 1.0, b, xs)
+        assert dist._partial_mean_integral(xs).tolist() == lower.tolist()
 
 
 class TestPowerAndExponentialUpperTail:

@@ -1,10 +1,15 @@
-"""``scipy.special`` loads on the first ``Beta``, not with the package.
+"""``scipy.special`` loads on the first use that needs it, not with the package.
 
+A ``Beta`` on integer shapes with alpha + beta <= 57 evaluates its CCDF and
+CCDF integrals without scipy; other shapes bind it on their first
+evaluation, and any Beta binds it on its first draw (the quantile table).
 Each check runs in a fresh interpreter, where nothing has imported scipy
-yet: a bare import and a uniform ``solve-rs`` must leave it unloaded, a
-``Beta`` unpickled there must still compute, threads binding scipy at
-once must get the single-threaded values, and ``betainc`` calls counted
-through a patched ``distributions.betainc`` must all be seen.
+yet: a bare import, a uniform ``solve-rs``, a ``compare`` against Beta(2,5)
+(at a target and at a radius) and a sweep over integer shapes must leave it
+unloaded; Beta(0.5,0.5)'s CCDF and a Beta(2,5) draw must load it; a
+``Beta`` unpickled there must still compute, threads binding scipy at once
+must get the single-threaded values, and ``betainc`` calls counted through a
+patched ``distributions.betainc`` must all be seen.
 """
 
 import inspect
@@ -16,6 +21,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from robustmech import Beta, Mixture, Uniform
 
@@ -59,6 +65,45 @@ def test_uniform_solve_rs_leaves_scipy_unloaded():
     *report, last = _run("-c", code).splitlines()
     assert last.split() == ["0", "False"]
     assert json.loads("\n".join(report))["tau"] == 0.2
+
+
+UNIFORM = '{"kind": "uniform"}'
+BETA25 = '{"kind": "beta", "alpha": 2.0, "beta": 5.0}'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare", "--reference", UNIFORM, "--tau", "0.2", "--true", BETA25],
+        ["compare", "--reference", UNIFORM, "--r", "0.05", "--true", BETA25],
+        ["sweep", "--reference", UNIFORM, "--grid", "alphas=1,2;betas=2,5;taus=0.2,0.8"],
+    ],
+    ids=["compare-tau", "compare-r", "sweep"],
+)
+def test_integer_beta_truths_leave_scipy_unloaded(argv):
+    code = (
+        "import sys, robustmech.cli\n"
+        f"code = robustmech.cli.main({argv!r})\n"
+        "print(code, 'scipy' in sys.modules)\n"
+    )
+    *report, last = _run("-c", code).splitlines()
+    assert last.split() == ["0", "False"]
+    json.loads("\n".join(report))
+
+
+@pytest.mark.parametrize(
+    "use", ["Beta(0.5, 0.5).ccdf(0.3)", "Beta(2.0, 5.0).sample(10, np.random.default_rng(1))"]
+)
+def test_an_off_integer_ccdf_or_a_draw_loads_scipy(use):
+    code = (
+        "import sys, numpy as np\n"
+        "from robustmech import Beta\n"
+        "Beta(2.0, 5.0).ccdf(0.3)\n"
+        "before = 'scipy' in sys.modules\n"
+        f"{use}\n"
+        "print(before, 'scipy' in sys.modules)\n"
+    )
+    assert _run("-c", code).split() == ["False", "True"]
 
 
 def test_unpickled_beta_computes_in_a_fresh_interpreter():

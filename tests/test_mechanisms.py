@@ -1,6 +1,7 @@
 import math
 import pickle
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -8,8 +9,10 @@ from helpers import allocation_integral, skewness_se, stieltjes_payment
 from robustmech import (
     DomainError,
     PostedPrice,
+    Power,
     RandomizedLogMechanism,
     cut,
+    max_posted_revenue,
     solve,
 )
 
@@ -201,6 +204,54 @@ class TestPriceStatistics:
         skew_sample = float(np.mean(centered**3)) / var_sample**1.5
         assert st.skewness == pytest.approx(
             skew_sample, abs=3 * skewness_se(n)
+        )
+
+    @staticmethod
+    def _mp_moments(intervals):
+        """Mean, variance and skewness of the price density dv/v normalized on
+        the intervals, from raw moments in 50 digits."""
+        with mpmath.workdps(50):
+            ivs = [(mpmath.mpf(u), mpmath.mpf(w)) for u, w in intervals]
+            k = 1 / mpmath.fsum(mpmath.log(w / u) for u, w in ivs)
+
+            def raw(n):
+                return k * mpmath.fsum((w**n - u**n) / n for u, w in ivs)
+
+            mean = raw(1)
+            var = raw(2) - mean**2
+            return mean, var, (raw(3) - 3 * mean * var - mean**3) / var**1.5
+
+    def _assert_moments_match_mpmath(self, mech, skew_floor=0.0):
+        """Each moment within 1e-14 relative; the skewness, a difference of
+        positive and negative third moments, within 1e-14 of the larger of
+        itself and ``skew_floor``."""
+        st = mech.price_statistics()
+        mean, var, skew = self._mp_moments(mech.intervals)
+        for got, want, scale in (
+            (st.mean, mean, mean),
+            (st.variance, var, var),
+            (st.skewness, skew, max(abs(skew), skew_floor)),
+        ):
+            assert abs(got - want) <= 1e-14 * scale, (mech.intervals, got, want)
+
+    def test_narrow_menu_matches_mpmath(self):
+        # near pi0 the menu is one narrow interval, where raw moments cancel
+        ref = Power(3.0)
+        self._assert_moments_match_mpmath(solve(ref, 0.956 * max_posted_revenue(ref)[0]).mechanism)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_menus_match_mpmath(self, seed):
+        # one to three intervals, from narrow ones to ones reaching down to 1e-20
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 4))
+        ends = np.sort(rng.random(2 * n) ** rng.choice([1.0, 4.0, 20.0]))
+        ends[0] = max(ends[0], 1e-20)
+        ends = np.unique(ends)
+        if ends.size % 2:
+            ends = ends[1:]
+        self._assert_moments_match_mpmath(
+            RandomizedLogMechanism(tuple(zip(ends[::2].tolist(), ends[1::2].tolist())), 0.1),
+            skew_floor=1.0,
         )
 
     def test_price_quantile_inverts_allocation(self, two_interval_mech):
