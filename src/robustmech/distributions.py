@@ -151,13 +151,16 @@ class ValuationDistribution:
         return many(a, b)
 
     def quantile(self, u):
-        """Inverse CDF; accepts scalars or arrays of probabilities."""
+        """Inverse CDF; accepts scalars or arrays of probabilities, which it
+        leaves unchanged."""
         us, scalar = _as_array(u)
         if any_outside(us, 0.0, 1.0):
             raise DomainError("quantile argument outside [0, 1]")
         return _maybe_scalar(self._quantile(us), scalar)
 
-    def _quantile(self, us: np.ndarray) -> np.ndarray:
+    def _quantile(self, us: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Q(us), written into ``out`` when given: a C-contiguous float array
+        of the same shape, which may be ``us`` itself."""
         # bracketed bisection on the CDF; 52 halvings reach ~2e-16 < 1e-12
         lo = np.zeros_like(us)
         hi = np.ones_like(us)
@@ -166,12 +169,14 @@ class ValuationDistribution:
             below = 1.0 - self._ccdf(mid) < us
             lo = np.where(below, mid, lo)
             hi = np.where(below, hi, mid)
-        return 0.5 * (lo + hi)
+        return np.multiply(lo + hi, 0.5, out=out)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """n inverse-CDF draws Q(U), U from ``rng.random``."""
+        """n inverse-CDF draws Q(U), U from ``rng.random``: the quantile
+        overwrites the uniforms, so the draws are the one array of n floats."""
         check_count(n, 0, "sample size")
-        return self._quantile(rng.random(n))
+        us = rng.random(n)
+        return self._quantile(us, out=us)
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -198,8 +203,8 @@ class Uniform(ValuationDistribution):
     def _integrals(self, a, b):
         return (b - a) - 0.5 * (b * b - a * a)
 
-    def _quantile(self, us):
-        return us.copy()
+    def _quantile(self, us, out=None):
+        return np.positive(us, out=out)  # the identity, into out
 
     def to_json(self):
         return {"kind": "uniform"}
@@ -230,11 +235,24 @@ class Power(ValuationDistribution):
         ap1 = self.alpha + 1.0
         return (b - a) - (b**ap1 - a**ap1) / ap1
 
-    def _quantile(self, us):
-        return us ** (1.0 / self.alpha)
+    def _quantile(self, us, out=None):
+        return np.power(us, 1.0 / self.alpha, out=out)
 
     def to_json(self):
         return {"kind": "power", "alpha": self.alpha}
+
+
+#: B_2n / (2n)! for n = 1..8, the Bernoulli numbers over factorials
+_TEXP_SERIES = (
+    1 / 12,
+    -1 / 720,
+    1 / 30240,
+    -1 / 1209600,
+    1 / 47900160,
+    -691 / 1307674368000,
+    1 / 74724249600,
+    -3617 / 10670622842880000,
+)
 
 
 @dataclass(frozen=True)
@@ -260,11 +278,15 @@ class TruncatedExponential(ValuationDistribution):
 
     def mean(self):
         lam = self.rate
-        if lam < 0.1:
+        if lam < 0.5:
             # the closed form below cancels at small rates (4e-11 relative
-            # off at 1e-6); the Bernoulli series of 1/lam - 1/expm1(lam)
+            # off at 1e-6, 5e-15 up to 0.5); 1/lam - 1/expm1(lam) is
+            # 1/2 - sum_n B_2n lam**(2n-1) / (2n)!, by Horner's rule to n = 8
             l2 = lam * lam
-            return 0.5 - lam * (1 / 12 - l2 * (1 / 720 - l2 * (1 / 30240 - l2 / 1209600)))
+            total = _TEXP_SERIES[-1]
+            for c in _TEXP_SERIES[-2::-1]:
+                total = total * l2 + c
+            return 0.5 - lam * total
         return 1.0 / lam - math.exp(-lam) / self._z
 
     def _integrals(self, a, b):
@@ -273,8 +295,12 @@ class TruncatedExponential(ValuationDistribution):
         core = -np.exp(-lam * a) * np.expm1(-lam * (b - a)) / lam
         return (core - math.exp(-lam) * (b - a)) / self._z
 
-    def _quantile(self, us):
-        return -np.log1p(-us * self._z) / self.rate
+    def _quantile(self, us, out=None):
+        # -log1p(-u z) / rate, with the signs moved onto the scalars
+        x = np.multiply(us, -self._z, out=np.empty(us.shape) if out is None else out)
+        np.log1p(x, out=x)
+        x /= -self.rate
+        return x
 
     def to_json(self):
         return {"kind": "truncated_exponential", "rate": self.rate}
@@ -386,8 +412,8 @@ class Beta(ValuationDistribution):
     def _integrals(self, a, b):
         return self._partial_mean_integral(b) - self._partial_mean_integral(a)
 
-    def _quantile(self, us):
-        return _beta_quantile(self.alpha, self.beta, us)
+    def _quantile(self, us, out=None):
+        return _beta_quantile(self.alpha, self.beta, us, out)
 
     def to_json(self):
         return {"kind": "beta", "alpha": self.alpha, "beta": self.beta}
@@ -554,9 +580,12 @@ def _horner(coef: np.ndarray, k: np.ndarray, t: np.ndarray) -> np.ndarray:
     return z
 
 
-def _beta_quantile(a: float, b: float, us: np.ndarray) -> np.ndarray:
+def _beta_quantile(
+    a: float, b: float, us: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Q(u) of Beta(a, b) for u in [0, 1], each side of the split solved from
-    its own end (see ``_beta_knots``).
+    its own end (see ``_beta_knots``), written into ``out`` when given: a
+    C-contiguous float array of the same shape, which may be ``us`` itself.
 
     Draws in certified cells take the table's polynomial, in blocks of
     ``_QUANTILE_BLOCK`` draws so that the scratch arrays stay small beside
@@ -564,16 +593,18 @@ def _beta_quantile(a: float, b: float, us: np.ndarray) -> np.ndarray:
     w = 1/16 is moved to its octave cell.  (A lower draw at the end of the
     lower side's last cell lands in the NaN column after it.)  The other
     draws, w below 2**-20 and any uncertified cell, are gathered across all
-    blocks and solved by the kernel, ``_lower_quantile``, in blocks of the
-    same size: a draw's value depends on its own u alone.
+    blocks, their uniforms copied aside before their block is written, and
+    solved by the kernel, ``_lower_quantile``, in blocks of the same size:
+    a draw's value depends on its own u alone.
     """
     split, lower, upper, table = _beta_knots(a, b)
     up = len(lower) + _OCTAVE_WS.size  # the upper side's first column
     # each side's NaN column, before its octave cells
     octave = np.array((len(lower) - 1, up + len(upper) - 1))
-    out = np.empty_like(us)
+    if out is None:
+        out = np.empty(us.shape)
     flat_us, flat_out = us.reshape(-1), out.reshape(-1)
-    rest = [np.empty(0, dtype=np.intp)]
+    rest, rest_us = [np.empty(0, dtype=np.intp)], [np.empty(0)]
     for start in range(0, flat_us.size, _QUANTILE_BLOCK):
         u = flat_us[start : start + _QUANTILE_BLOCK]
         high = u > split
@@ -589,19 +620,23 @@ def _beta_quantile(a: float, b: float, us: np.ndarray) -> np.ndarray:
         cell = np.maximum((bits >> _OCTAVE_SHIFT) - _OCTAVE_BIAS, 0)
         k[small] = cell + octave.take(high[small])
         pos[small] = (bits & ((1 << _OCTAVE_SHIFT) - 1)) * 2.0**-_OCTAVE_SHIFT
-        x = flat_out[start : start + _QUANTILE_BLOCK]
-        np.abs(high - _horner(table, k, pos), out=x)
-        rest.append(start + np.flatnonzero(np.isnan(x)))
-    rest = np.concatenate(rest)
+        z = _horner(table, k, pos)
+        nan = np.flatnonzero(np.isnan(z))
+        rest.append(start + nan)
+        rest_us.append(u.take(nan))
+        # |z - high| = |high - z|, written over the block's uniforms when
+        # out is us
+        z -= high
+        np.abs(z, out=flat_out[start : start + _QUANTILE_BLOCK])
+    rest, rest_us = np.concatenate(rest), np.concatenate(rest_us)
     for start in range(0, rest.size, _QUANTILE_BLOCK):
-        idx = rest[start : start + _QUANTILE_BLOCK]
-        u = flat_us[idx]
+        u = rest_us[start : start + _QUANTILE_BLOCK]
         x = np.empty_like(u)
         low = u <= split
         x[low] = _lower_quantile(a, b, u[low], lower)
         high = ~low
         x[high] = 1.0 - _lower_quantile(b, a, 1.0 - u[high], upper)
-        flat_out[idx] = x
+        flat_out[rest[start : start + _QUANTILE_BLOCK]] = x
     return out
 
 
@@ -730,32 +765,30 @@ class Mixture(ValuationDistribution):
         """n draws: each draw's component from n uniforms, then that
         component's quantile at n more.
 
-        Both passes go block by block, which draws the same stream as whole
-        arrays would, so only the component indices (a byte each, for up to
-        255 components) and the output span n.  A draw's component is the
-        count of cumulative weights before the last at or below its uniform;
-        in each block one stable sort of the indices gives each component a
-        contiguous slice of uniforms, and the values go back in one scatter.
+        Both sets of uniforms are drawn into the output, so only it and the
+        component indices (a byte each, for up to 255 components) span n.  A
+        draw's component is the count of cumulative weights before the last
+        at or below its first uniform.  Then, block by block, each component
+        gathers the second uniforms of its draws, takes its quantile of them
+        in place and scatters the draws back: a draw depends on its own
+        uniform alone.
         """
         check_count(n, 0, "sample size")
         cum = np.cumsum(self.weights)[:-1]
         which = np.zeros(n, dtype=np.uint8 if cum.size < 255 else np.intp)
+        out = rng.random(n)
         for s in range(0, n, _MIXTURE_BLOCK):
-            u = rng.random(min(_MIXTURE_BLOCK, n - s))
-            block = which[s : s + u.size]
+            u, block = out[s : s + _MIXTURE_BLOCK], which[s : s + _MIXTURE_BLOCK]
             for c in cum:
                 block += u >= c
-        out = np.empty(n)
+        rng.random(out=out)
         for s in range(0, n, _MIXTURE_BLOCK):
-            us = rng.random(min(_MIXTURE_BLOCK, n - s))
-            block = which[s : s + us.size]
-            order = np.argsort(block, kind="stable")
-            us = us.take(order)
-            ends = np.cumsum(np.bincount(block, minlength=len(self.components)))
-            for c, lo, hi in zip(self.components, (0, *ends[:-1]), ends):
-                if hi > lo:
-                    us[lo:hi] = c._quantile(us[lo:hi])
-            out[s : s + us.size][order] = us
+            u, block = out[s : s + _MIXTURE_BLOCK], which[s : s + _MIXTURE_BLOCK]
+            for i, c in enumerate(self.components):
+                idx = np.flatnonzero(block == i)
+                if idx.size:
+                    draws = u.take(idx)
+                    u[idx] = c._quantile(draws, out=draws)
         return out
 
     def to_json(self):
@@ -868,8 +901,8 @@ class Empirical(ValuationDistribution):
         spread = (knots[nxt] - a) * tail[i] + (prefix[j] - prefix[nxt]) + (b - knots[j]) * tail[j]
         return np.where(i == j, (b - a) * tail[i], spread)
 
-    def _quantile(self, us):
-        return self._values[np.searchsorted(self._cum[1:], us, side="left")]
+    def _quantile(self, us, out=None):
+        return np.take(self._values, np.searchsorted(self._cum[1:], us, side="left"), out=out)
 
     def to_json(self):
         return {"kind": "empirical", "atoms": [[v, m] for v, m in self.atoms]}

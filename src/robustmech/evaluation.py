@@ -103,7 +103,10 @@ def expected_revenue(
     each family; a Beta law (alone or in a mixture) reads its draws off a
     cached table of certified quintic polynomials, and inverts its CDF by
     Halley steps only for the few (about 2 per million) outside it.  The
-    standard error is ``np.std``'s, taken in place in the payments.
+    evaluation holds one array of ``mc_n`` floats: the uniforms are drawn
+    into it, the quantile overwrites them with the draws, the payments
+    overwrite the draws, and the standard error is ``np.std``'s, taken in
+    place in the payments.
     """
     if method == "quadrature":
         value = _exact_expected_revenue(mech, p)
@@ -112,7 +115,7 @@ def expected_revenue(
         check_count(mc_n, 1, "Monte Carlo sample size")
         rng = np.random.default_rng(seed)
         draws = p.sample(mc_n, rng)
-        pays = mech.payment(draws)
+        pays = mech.payment(draws, out=draws)
         value = float(np.mean(pays))
         # np.std's operations, in place in the payments: no full-size temporary
         pays -= value

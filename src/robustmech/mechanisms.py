@@ -33,13 +33,21 @@ class PriceStatistics(Record):
 _BLOCK = 16_384
 
 
-def _blockwise(curve, v):
+def _blockwise(curve, v, out=None):
     """``curve`` of the valuations ``v`` clipped to [0, 1], evaluated in
-    blocks of ``_BLOCK`` into one output array; a float for a scalar."""
+    blocks of ``_BLOCK`` into one output array; a float for a scalar.
+
+    The output is ``out`` when given: a C-contiguous float array of v's
+    shape, which may be ``v`` itself, since each block is clipped into a new
+    array before its values are written.
+    """
     vs = np.asarray(v, dtype=float)
     if any_outside(vs, -1e-12, 1.0 + 1e-12):
         raise DomainError("valuation outside [0, 1]")
-    out = np.empty(vs.shape)
+    if out is None:
+        out = np.empty(vs.shape)
+    elif not (out.shape == vs.shape and out.dtype == float and out.flags.c_contiguous):
+        raise ValueError("out must be a C-contiguous float array of the valuations' shape")
     flat, flat_out = vs.reshape(-1), out.reshape(-1)
     for start in range(0, flat.size, _BLOCK):
         flat_out[start : start + _BLOCK] = curve(np.clip(flat[start : start + _BLOCK], 0.0, 1.0))
@@ -95,11 +103,12 @@ class RandomizedLogMechanism:
         """Winning probability q(v): 0 below the menu, 1 at and above its top."""
         return _blockwise(self._curves()[0], v)
 
-    def payment(self, v):
+    def payment(self, v, out=None):
         """Payment m(v): slope inside intervals, constant elsewhere, m(0) = 0;
         a clip per valuation, and one search of the interval starts per
-        valuation when the menu has more than one interval."""
-        return _blockwise(self._curves()[1], v)
+        valuation when the menu has more than one interval.  ``out``, when
+        given, receives the payments; it may be v itself."""
+        return _blockwise(self._curves()[1], v, out)
 
     def buyer_surplus(self, v):
         """q(v) v - m(v); nonnegative and nondecreasing in v."""
@@ -255,8 +264,9 @@ class PostedPrice:
     def allocation(self, v):
         return _blockwise(lambda vs: vs >= self.price, v)
 
-    def payment(self, v):
-        return _blockwise(lambda vs: self.price * (vs >= self.price), v)
+    def payment(self, v, out=None):
+        """Payment p 1(v >= p), into ``out`` when given; it may be v itself."""
+        return _blockwise(lambda vs: self.price * (vs >= self.price), v, out)
 
     def buyer_surplus(self, v):
         return _blockwise(lambda vs: np.maximum(vs - self.price, 0.0) * (vs >= self.price), v)

@@ -31,6 +31,7 @@ from robustmech import (
     solve,
     wasserstein_distance,
 )
+from robustmech import distributions
 from robustmech.numerics import adaptive_simpson
 
 ALL_KINDS = [
@@ -114,6 +115,17 @@ class TestMean:
             lam = mpmath.mpf(rate)
             want = 1 / lam - 1 / mpmath.expm1(lam)
         assert abs(TruncatedExponential(rate).mean() - want) <= 2e-15 * want
+
+    def test_truncated_exponential_is_rounding_close_up_to_rate_one_half(self):
+        # the Bernoulli series below rate 0.5, the closed form from it on; the
+        # closed form alone is 5e-15 off in [0.1, 0.5]
+        rates = np.random.default_rng(27).uniform(0.0, 0.5, 300).tolist()
+        rates += [1e-9, 0.1, np.nextafter(0.1, 0.0), np.nextafter(0.5, 0.0), 0.5]
+        for rate in rates:
+            with mpmath.workdps(50):
+                lam = mpmath.mpf(rate)
+                want = 1 / lam - 1 / mpmath.expm1(lam)
+            assert abs(TruncatedExponential(rate).mean() - want) <= 2.5e-16 * want, rate
 
 
 class TestCcdfIntegral:
@@ -372,8 +384,8 @@ class TestMixtureSample:
 
     @pytest.mark.parametrize("n", [0, 1, 2**17 + 1, 300_000])
     def test_blocks_draw_what_whole_arrays_draw(self, n):
-        # each component's draws come from its contiguous slice of the sorted
-        # uniforms; a draw depends on its own uniform alone
+        # each component's draws are gathered from its positions in a block;
+        # a draw depends on its own uniform alone
         three = Mixture((Beta(0.5, 0.5), Power(3.0), Beta(4.0, 4.0)), (0.2, 0.5, 0.3))
         for mixture in (self.MIXTURE, three):
             got = mixture.sample(n, np.random.default_rng(9))
@@ -390,6 +402,126 @@ class TestMixtureSample:
         finally:
             tracemalloc.stop()
         assert peak <= 20e6
+
+
+class _RecordingRng:
+    """A generator that keeps every array its ``random`` returns."""
+
+    def __init__(self, seed):
+        self.rng, self.arrays = np.random.default_rng(seed), []
+
+    def random(self, size=None, out=None):
+        self.arrays.append(self.rng.random(size, out=out))
+        return self.arrays[-1]
+
+
+class TestDrawsInPlace:
+    """Each draw is its own uniform's quantile, made in the array the
+    uniforms were drawn into; ``quantile`` writes nothing it is given."""
+
+    SIZES = [0, 1, 16_383, 16_384, 16_385, 2**17 + 1]
+    FAMILIES = [
+        Uniform(),
+        Power(3.0),
+        TruncatedExponential(1.0),
+        Beta(2.0, 5.0),
+        Beta(0.5, 0.5),
+        Beta(9.0, 0.5),
+    ]
+    MIXTURES = [
+        Mixture((Beta(0.5, 0.5), Uniform(), Beta(3.0, 1.0)), (0.3, 0.45, 0.25)),
+        Mixture((Beta(2.0, 10.0), Power(3.0), Beta(10.0, 2.0)), (0.85, 0.0, 0.15)),
+    ]
+
+    @staticmethod
+    def per_draw(mixture, n, seed):
+        # the component from the first n uniforms: the count of cumulative
+        # weights, all but the last, at or below the uniform; then its
+        # quantile() at the matching uniform of the next n
+        rng = np.random.default_rng(seed)
+        first, second = rng.random(n), rng.random(n)
+        which = (first[:, None] >= np.cumsum(mixture.weights)[:-1]).sum(axis=1)
+        out = np.full(n, np.nan)
+        for j, c in enumerate(mixture.components):
+            sel = which == j
+            out[sel] = c.quantile(second[sel])
+        for i in np.random.default_rng(n).integers(0, n, min(n, 20)).tolist():
+            assert out[i] == mixture.components[which[i]].quantile(float(second[i]))
+        return out, which
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("dist", FAMILIES, ids=lambda d: str(d.to_json()))
+    def test_family_draws_are_the_quantiles_of_their_uniforms(self, dist, n):
+        got = dist.sample(n, np.random.default_rng(n))
+        us = np.random.default_rng(n).random(n)
+        assert np.array_equal(got, dist.quantile(us))
+        for i in range(min(n, 5)):
+            assert got[i] == dist.quantile(float(us[i]))
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("mixture", MIXTURES, ids=["three", "zero-weight"])
+    def test_mixture_draws_are_their_components_quantiles(self, mixture, n):
+        want, which = self.per_draw(mixture, n, n + 1)
+        assert np.array_equal(mixture.sample(n, np.random.default_rng(n + 1)), want)
+        if n > 16_384:
+            zero = [j for j, w in enumerate(mixture.weights) if w == 0.0]
+            assert not np.isin(which, zero).any()
+            assert np.unique(which).size == len(mixture.components) - len(zero)
+
+    @pytest.mark.parametrize("dist", [*FAMILIES, *MIXTURES], ids=str)
+    def test_sample_returns_the_array_of_its_uniforms(self, dist):
+        rng = _RecordingRng(3)
+        draws = dist.sample(1_000, rng)
+        assert rng.arrays and all(a is draws for a in rng.arrays)
+
+    @pytest.mark.parametrize(
+        "dist", [*ALL_KINDS, Power(3.0), Beta(9.0, 0.5), *MIXTURES], ids=str
+    )
+    def test_quantile_leaves_its_argument_unchanged(self, dist):
+        us = np.random.default_rng(4).random(20_000)
+        us[:4] = (0.0, 1.0, 1e-7, 1.0 - 1e-7)
+        before = us.copy()
+        xs = dist.quantile(us)
+        assert np.array_equal(us, before)
+        assert xs is not us
+        # a Fortran-ordered argument is read in its own order
+        grid = us[:600].reshape(20, 30).T
+        assert np.array_equal(dist.quantile(grid), dist.quantile(np.ascontiguousarray(grid)))
+
+    def test_beta_quantile_in_place_matches_out_of_place_in_the_kernel(self, monkeypatch):
+        # uniforms the table does not answer: the ends, w < 2**-20 on both
+        # sides, and Beta(0.5, 10)'s uncertified cells, upper-side cells of
+        # width 1/1024 (the table holds the lower side's columns, then the
+        # upper side's: see _side_table)
+        a, b = 0.5, 10.0
+        _, lower, upper, table = distributions._beta_knots(a, b)
+        up = len(lower) + distributions._OCTAVE_WS.size
+        cells = [
+            k for k in range(64, len(upper) - 1) if np.isnan(table[0, up + k])
+        ]
+        assert cells
+        crafted = [0.0, 1.0, 1e-7, 1.0 - 1e-7]
+        for k in cells:
+            crafted += (1.0 - (k + np.linspace(0.05, 0.95, 7)) / 1024).tolist()
+        seen = []
+        kernel = distributions._lower_quantile
+
+        def counting(p, q, w, knots):
+            seen.append(w.size)
+            return kernel(p, q, w, knots)
+
+        monkeypatch.setattr(distributions, "_lower_quantile", counting)
+        alone = distributions._beta_quantile(a, b, np.array(crafted))
+        assert sum(seen) == len(crafted)
+        # among ordinary uniforms, over three blocks
+        us = np.random.default_rng(6).random(40_000)
+        at = np.random.default_rng(7).choice(us.size, len(crafted), replace=False)
+        us[at] = crafted
+        want = distributions._beta_quantile(a, b, us)
+        got = us.copy()
+        assert distributions._beta_quantile(a, b, got, out=got) is got
+        assert np.array_equal(got, want)
+        assert np.array_equal(want[at], alone)
 
 
 class TestEmpiricalConstruction:

@@ -141,22 +141,26 @@ class TestExpectedRevenue:
         assert a.standard_error == b.standard_error
 
     def test_monte_carlo_prices_a_million_draws_in_small_blocks(self, uniform, beta25):
-        # 8 MB of draws and 8 MB of payments, which the standard error
-        # reuses; one array pass over the draws held about 58 MB of payment
-        # scratch on top, a peak of 66 MB, and np.std 8 MB more
+        # one array of 8 MB: the uniforms, then the draws, then the payments,
+        # which the standard error reuses, plus blocks of scratch (and a
+        # mixture's byte per draw); separate draw and payment arrays peaked
+        # at 15.9 MiB (Beta) and 15.5 MiB (mixture), and one array pass over
+        # the draws at 66 MB
         mech = solve(uniform, 0.2).mechanism
         n = 1_000_000
-        expected_revenue(mech, beta25, "monte_carlo", mc_n=1_000)  # fill the caches
-        tracemalloc.start()
-        try:
-            rep = expected_revenue(mech, beta25, "monte_carlo", mc_n=n, seed=42)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 18e6
-        pays = _one_pass_payment(mech, beta25.sample(n, np.random.default_rng(42)))
-        assert rep.expected_revenue == float(np.mean(pays))
-        assert rep.standard_error == float(np.std(pays) / math.sqrt(n))
+        bimodal = Mixture((Beta(2.0, 10.0), Beta(10.0, 2.0)), (0.85, 0.15))
+        for truth in (beta25, bimodal):
+            expected_revenue(mech, truth, "monte_carlo", mc_n=1_000)  # fill the caches
+            tracemalloc.start()
+            try:
+                rep = expected_revenue(mech, truth, "monte_carlo", mc_n=n, seed=42)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 11.5 * 2**20
+            pays = _one_pass_payment(mech, truth.sample(n, np.random.default_rng(42)))
+            assert rep.expected_revenue == float(np.mean(pays))
+            assert rep.standard_error == float(np.std(pays) / math.sqrt(n))
 
     def test_blocked_curves_match_one_array_pass(self, two_point):
         # cut(two_point, 0.15) touches at its tie point 0.3: (0.15, 0.3), (0.3, 0.7)

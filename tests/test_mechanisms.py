@@ -113,6 +113,24 @@ class TestPayment:
             stieltjes_payment(two_interval_mech, v), abs=1e-8
         )
 
+    @pytest.mark.parametrize("fixture", ["uniform_mech", "two_interval_mech", None])
+    def test_into_out_and_over_the_valuations(self, fixture, request):
+        mech = request.getfixturevalue(fixture) if fixture else PostedPrice(0.4)
+        # three blocks, and valuations a rounding outside [0, 1]
+        vs = np.random.default_rng(1).random(40_000)
+        vs[:2] = (-1e-13, 1.0 + 1e-13)
+        want = mech.payment(vs)
+        out = np.full(vs.shape, np.nan)
+        assert mech.payment(vs, out=out) is out
+        assert np.array_equal(out, want)
+        assert mech.payment(vs, out=vs) is vs
+        assert np.array_equal(vs, want)
+        grid = np.linspace(0.0, 1.0, 12).reshape(3, 4)
+        assert np.array_equal(mech.payment(grid, out=np.empty((3, 4))), mech.payment(grid))
+        for bad in (np.empty(5), np.empty((4, 3)).T, np.empty((3, 4), dtype=np.float32)):
+            with pytest.raises(ValueError):
+                mech.payment(grid, out=bad)
+
 
 def _curves_by_cases(mech, v):
     """(q, m) at v by cases in scalar floats: below the menu or between two
