@@ -52,6 +52,9 @@ _SCAN_POINTS = 100_001
 #: the scan grid's abscissae, one read-only array shared by every reference
 _SCAN_XS = np.linspace(0.0, 1.0, _SCAN_POINTS + 1)[1:]
 _SCAN_XS.setflags(write=False)
+#: values per block of an array kernel (a Beta CCDF's binomial sums, the Beta
+#: quantile, a mixture's draws, a mechanism's curves): about 1 MB of scratch
+_BLOCK = 16_384
 
 
 def _bind_scipy():
@@ -365,10 +368,8 @@ class Beta(ValuationDistribution):
             # the output
             out = np.empty(xs.shape)
             flat, flat_out = xs.reshape(-1), out.reshape(-1)
-            for start in range(0, flat.size, _BINOMIAL_BLOCK):
-                flat_out[start : start + _BINOMIAL_BLOCK] = self._binomial_ccdf(
-                    flat[start : start + _BINOMIAL_BLOCK]
-                )
+            for start in range(0, flat.size, _BLOCK):
+                flat_out[start : start + _BLOCK] = self._binomial_ccdf(flat[start : start + _BLOCK])
             return out
         _bind_scipy()
         a, b = self.alpha, self.beta
@@ -422,8 +423,6 @@ class Beta(ValuationDistribution):
 #: integer shapes with alpha + beta up to this take the binomial tails: their
 #: coefficients, up to C(56, 28) ~ 7.6e15 < 2**53, are exact floats
 _BINOMIAL_SHAPES = 57
-#: values per block of an array CCDF: under 1 MB of scratch arrays
-_BINOMIAL_BLOCK = 16_384
 
 
 def _binomial_tail(p, n: int, q, coef: tuple[float, ...], dp=0.0):
@@ -463,8 +462,6 @@ _OCTAVE_WS = (np.ldexp(1.0, np.arange(-20, -4))[:, None] * (1.0 + np.arange(64) 
 #: and the lowest 46 are the position in the cell (exactly)
 _OCTAVE_SHIFT = 46
 _OCTAVE_BIAS = int(np.float64(2.0**-20).view(np.int64) >> _OCTAVE_SHIFT) - 1
-#: draws per block of the kernel: about 1 MB of scratch arrays
-_QUANTILE_BLOCK = 16_384
 #: a Halley step no longer than this, relative to the nearer end of [0, 1],
 #: leaves the draw within rounding of its root: the error left is cubic in it
 _HALLEY_RTOL = 1e-5
@@ -588,7 +585,7 @@ def _beta_quantile(
     C-contiguous float array of the same shape, which may be ``us`` itself.
 
     Draws in certified cells take the table's polynomial, in blocks of
-    ``_QUANTILE_BLOCK`` draws so that the scratch arrays stay small beside
+    ``_BLOCK`` draws so that the scratch arrays stay small beside
     the output: w = k / 1024 + t / 1024 picks cell k, and a draw below
     w = 1/16 is moved to its octave cell.  (A lower draw at the end of the
     lower side's last cell lands in the NaN column after it.)  The other
@@ -605,8 +602,8 @@ def _beta_quantile(
         out = np.empty(us.shape)
     flat_us, flat_out = us.reshape(-1), out.reshape(-1)
     rest, rest_us = [np.empty(0, dtype=np.intp)], [np.empty(0)]
-    for start in range(0, flat_us.size, _QUANTILE_BLOCK):
-        u = flat_us[start : start + _QUANTILE_BLOCK]
+    for start in range(0, flat_us.size, _BLOCK):
+        u = flat_us[start : start + _BLOCK]
         high = u > split
         # |high - u| is w, u on the lower side and 1 - u (exact) on the upper,
         # and |high - z| is x from the side's root z in the same way
@@ -627,16 +624,16 @@ def _beta_quantile(
         # |z - high| = |high - z|, written over the block's uniforms when
         # out is us
         z -= high
-        np.abs(z, out=flat_out[start : start + _QUANTILE_BLOCK])
+        np.abs(z, out=flat_out[start : start + _BLOCK])
     rest, rest_us = np.concatenate(rest), np.concatenate(rest_us)
-    for start in range(0, rest.size, _QUANTILE_BLOCK):
-        u = rest_us[start : start + _QUANTILE_BLOCK]
+    for start in range(0, rest.size, _BLOCK):
+        u = rest_us[start : start + _BLOCK]
         x = np.empty_like(u)
         low = u <= split
         x[low] = _lower_quantile(a, b, u[low], lower)
         high = ~low
         x[high] = 1.0 - _lower_quantile(b, a, 1.0 - u[high], upper)
-        flat_out[rest[start : start + _QUANTILE_BLOCK]] = x
+        flat_out[rest[start : start + _BLOCK]] = x
     return out
 
 
@@ -724,9 +721,6 @@ def _polish(p, q, z, w, lo, hi):
     return z
 
 
-#: draws per block of ``Mixture.sample``: 1 MB of uniforms
-_MIXTURE_BLOCK = 2**17
-
 
 @dataclass(frozen=True)
 class Mixture(ValuationDistribution):
@@ -777,13 +771,13 @@ class Mixture(ValuationDistribution):
         cum = np.cumsum(self.weights)[:-1]
         which = np.zeros(n, dtype=np.uint8 if cum.size < 255 else np.intp)
         out = rng.random(n)
-        for s in range(0, n, _MIXTURE_BLOCK):
-            u, block = out[s : s + _MIXTURE_BLOCK], which[s : s + _MIXTURE_BLOCK]
+        for s in range(0, n, _BLOCK):
+            u, block = out[s : s + _BLOCK], which[s : s + _BLOCK]
             for c in cum:
                 block += u >= c
         rng.random(out=out)
-        for s in range(0, n, _MIXTURE_BLOCK):
-            u, block = out[s : s + _MIXTURE_BLOCK], which[s : s + _MIXTURE_BLOCK]
+        for s in range(0, n, _BLOCK):
+            u, block = out[s : s + _BLOCK], which[s : s + _BLOCK]
             for i, c in enumerate(self.components):
                 idx = np.flatnonzero(block == i)
                 if idx.size:

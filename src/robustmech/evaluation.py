@@ -21,7 +21,6 @@ from .distributions import (
     ValuationDistribution,
     _revenue_slope,
     max_posted_revenue,
-    revenue,
     wasserstein_distance,
 )
 from .errors import DomainError, InfeasibleTargetError, check_count
@@ -77,14 +76,13 @@ class EvalReport(Record):
 
 
 def _exact_expected_revenue(mech: Mechanism, p: ValuationDistribution) -> float:
-    if isinstance(mech, PostedPrice):
-        return revenue(p, mech.price)
     if isinstance(p, Empirical):
+        # the atoms' payments: ``_integrals``' prefix sums and ``_tail`` round
         return math.fsum(p._masses * mech.payment(p._values))
-    # the payment is continuous piecewise linear with slope k on the menu
-    # intervals, so E[m] collapses to CCDF partial integrals of the truth
-    return mech.slope * math.fsum(
-        p.ccdf_integral(u, w) for u, w in mech.intervals
+    # a jump at x > 0 earns size P(v >= x), a ramp slope times the CCDF's integral
+    jumps, ramps = mech._pieces()
+    return math.fsum(size * p.ccdf_left(x) for x, size in jumps if x > 0.0) + math.fsum(
+        slope * p.ccdf_integral(u, w) for u, w, slope in ramps
     )
 
 
@@ -186,34 +184,38 @@ class CrossingThresholds(Record):
     s_changes: int
 
 
-#: points of the grid on [0, 1] where ``crossing_thresholds`` reads the signs
-_CROSSING_GRID_POINTS = 10_001
-
-
 def crossing_thresholds(mech_a: Mechanism, mech_b: Mechanism) -> CrossingThresholds:
     """Locate where allocation, payment and surplus differences change sign.
 
-    A threshold is the refined location of the last positive-to-negative sign
-    change of (A minus B) on a dense grid; differences within 1e-13 count as
-    zero so shared plateaus do not register as crossings.
+    The signs are read at 0, 1, both mechanisms' breakpoints, the float below
+    each (across a posted price's jump) and the allocation difference's
+    roots: between them each difference is monotone (see ``mechanisms``).
+    Differences within 1e-13 count as zero, so shared plateaus do not
+    register as crossings.  A threshold is the last positive-to-negative
+    change, bisected, or the upper end of a change across adjacent floats.
     """
-    grid = np.linspace(0.0, 1.0, _CROSSING_GRID_POINTS)
+    # a piece lists its positions, then its size or slope
+    breaks = {e for m in (mech_a, mech_b) for part in m._pieces() for *ends, _ in part for e in ends}
+    pts = np.unique([0.0, 1.0, *breaks, *(math.nextafter(x, 0.0) for x in breaks)])
+    dq = mech_a.allocation(pts) - mech_b.allocation(pts)
+    # a + b ln v through each turning cell's ends, none from 0: allocations are flat up to a break
+    turn = np.flatnonzero(np.sign(dq[:-1]) * np.sign(dq[1:]) < 0.0)
+    lo, hi = pts[turn], pts[turn + 1]
+    pts = np.union1d(pts, lo * (hi / lo) ** (dq[turn] / (dq[turn] - dq[turn + 1])))
     out: list[float | None] = []
     counts: list[int] = []
     for name in ("allocation", "payment", "buyer_surplus"):
         fa, fb = getattr(mech_a, name), getattr(mech_b, name)
-        diff = fa(grid) - fb(grid)
+        diff = fa(pts) - fb(pts)
         signed = np.flatnonzero(np.abs(diff) > 1e-13)
         positive = diff[signed] > 0.0
         flips = np.flatnonzero(positive[1:] != positive[:-1])
         downs = flips[positive[flips]]
         if downs.size:
             # both ends lie outside the zero band, with opposite signs
-            lo, hi = signed[downs[-1]], signed[downs[-1] + 1]
-            out.append(bisect_root(
-                lambda v: fa(v) - fb(v), float(grid[lo]), float(grid[hi]),
-                flo=float(diff[lo]), fhi=float(diff[hi]),
-            ).root)
+            lo, hi = (float(pts[k]) for k in signed[downs[-1] : downs[-1] + 2])
+            jump = math.nextafter(lo, 1.0) == hi
+            out.append(hi if jump else bisect_root(lambda v: fa(v) - fb(v), lo, hi).root)
         else:
             out.append(None)
         counts.append(flips.size)
@@ -253,8 +255,8 @@ class ThetaDiagnostic(Record):
 def theta_condition(dist: ValuationDistribution, c: float) -> ThetaDiagnostic:
     """Evaluate the sensitivity condition R'(u) <= theta * |R'(w)| at level c.
 
-    Requires a reference whose iso-revenue cut at c is a single interval with
-    distinct prices u < w; tangency is rejected as degenerate.  R' is the
+    Requires a reference whose iso-revenue cut at c is one interval u < w (a
+    tangency has none: ``cut`` drops intervals under 1e-9 wide).  R' is the
     revenue curve's slope ccdf - x pdf, so an empirical reference is rejected.
     """
     if isinstance(dist, Empirical):
@@ -269,9 +271,6 @@ def theta_condition(dist: ValuationDistribution, c: float) -> ThetaDiagnostic:
             f"got {cc.count} interval(s) at level {c!r}"
         )
     u, w = cc.intervals[0]
-    if w - u < 1e-9:
-        raise DomainError("degenerate cut: the two iso-revenue prices coincide")
-
     kappa = w / u
     theta = theta_sensitivity(kappa)
     lhs = _revenue_slope(dist, u)

@@ -5,6 +5,10 @@ A mechanism is an incentive-compatible, individually-rational pair
 family: q grows logarithmically on a union of intervals (so the payment is
 piecewise linear with a single slope), which is exactly a randomized-price
 menu whose price CDF is q.
+
+Both state their payment as ``_pieces()``: jumps (x, size) and ramps (u, w,
+slope), m constant elsewhere.  Between breakpoints m is linear and q is a +
+b ln v; the surplus's slope is q (the envelope theorem).
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from itertools import accumulate
 
 import numpy as np
 
+from .distributions import _BLOCK
 from .errors import DomainError, any_outside
 from .isorevenue import IsoRevenueCut
 from .records import Record
@@ -27,10 +32,6 @@ class PriceStatistics(Record):
     mean: float
     variance: float
     skewness: float
-
-
-#: valuations per block, so that a curve's scratch stays small beside its output
-_BLOCK = 16_384
 
 
 def _blockwise(curve, v, out=None):
@@ -98,6 +99,9 @@ class RandomizedLogMechanism:
     @classmethod
     def from_cut(cls, cut: IsoRevenueCut) -> "RandomizedLogMechanism":
         return cls(intervals=cut.intervals, cut_level=cut.pi)
+
+    def _pieces(self):
+        return (), tuple((u, w, self.slope) for u, w in self.intervals)
 
     def allocation(self, v):
         """Winning probability q(v): 0 below the menu, 1 at and above its top."""
@@ -260,6 +264,9 @@ class PostedPrice:
     def __post_init__(self):
         if not 0.0 <= self.price <= 1.0:
             raise DomainError(f"price {self.price} outside [0, 1]")
+
+    def _pieces(self):
+        return ((self.price, self.price),), ()
 
     def allocation(self, v):
         return _blockwise(lambda vs: vs >= self.price, v)

@@ -10,10 +10,12 @@ import math
 
 import mpmath
 import numpy as np
+from scipy.optimize import brentq
 from scipy.special import betaincinv
 
 from robustmech import (
     Beta,
+    CrossingThresholds,
     DomainError,
     Empirical,
     Mixture,
@@ -97,6 +99,32 @@ def allocation_integral(mech, v: float, n: int = 400_001) -> float:
     """Quadrature of the allocation over [0, v] (equals the buyer surplus)."""
     xs = np.linspace(0.0, v, n)
     return float(np.trapezoid(mech.allocation(xs), xs))
+
+
+def grid_crossing_thresholds(mech_a, mech_b, points: int = 10_001) -> CrossingThresholds:
+    """Sign changes of (A minus B) in allocation, payment and surplus read on
+    a uniform grid of [0, 1], differences within 1e-13 counting as zero; a
+    threshold is the last positive-to-negative change, refined by Brent's
+    method between its two grid points.  It misses a change narrower than a
+    grid cell."""
+    grid = np.linspace(0.0, 1.0, points)
+    out, counts = [], []
+    for name in ("allocation", "payment", "buyer_surplus"):
+        fa, fb = getattr(mech_a, name), getattr(mech_b, name)
+        diff = fa(grid) - fb(grid)
+        signed = np.flatnonzero(np.abs(diff) > 1e-13)
+        positive = diff[signed] > 0.0
+        flips = np.flatnonzero(positive[1:] != positive[:-1])
+        downs = flips[positive[flips]]
+        if downs.size:
+            lo, hi = grid[signed[downs[-1]]], grid[signed[downs[-1] + 1]]
+            out.append(brentq(
+                lambda v: fa(v) - fb(v), lo, hi, xtol=1e-300, rtol=4 * np.finfo(float).eps
+            ))
+        else:
+            out.append(None)
+        counts.append(int(flips.size))
+    return CrossingThresholds(*out, *counts)
 
 
 def random_empirical(rng: np.random.Generator, max_atoms: int = 10) -> Empirical:

@@ -1,15 +1,17 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from helpers import TruncatedPareto
+from helpers import TruncatedPareto, grid_crossing_thresholds
 
 from robustmech import (
     Beta,
     DomainError,
     Empirical,
     Mixture,
+    Power,
     PostedPrice,
     RandomizedLogMechanism,
     SweepConfig,
@@ -104,6 +106,14 @@ class TestExpectedRevenue:
     def test_posted_price_at_atom_includes_mass(self, two_point):
         rep = expected_revenue(PostedPrice(0.7), two_point)
         assert rep.expected_revenue == pytest.approx(0.35)
+
+    def test_posted_price_under_sample_truth_matches_exact_atom_sum(self):
+        # the tail 1 - cum of a 300-draw sample is up to 6.9e-13 off its atom sum
+        sample = Empirical.from_samples(np.random.default_rng(5).beta(2.0, 5.0, 300))
+        for price in [*sample._values[::30].tolist(), 0.05, 0.2, 0.35, 0.5]:
+            exact = sum(Fraction(m) for v, m in sample.atoms if v >= price) * Fraction(price)
+            got = expected_revenue(PostedPrice(price), sample).expected_revenue
+            assert abs(Fraction(got) - exact) <= 1e-15 * exact
 
     def test_three_atom_truth_matches_atom_weighted_payments(self, uniform):
         # payments of the tau=0.2 menu at the atoms weight to about 0.158
@@ -274,6 +284,43 @@ class TestCrossingThresholds:
         assert np.all(
             rs.buyer_surplus(grid) >= ro.buyer_surplus(grid) - 1e-9
         )
+
+    def test_close_posted_prices(self):
+        # the payment difference drops from +0.500012 to -0.000023 at 0.500035,
+        # inside one cell of a 10,001-point grid
+        res = crossing_thresholds(PostedPrice(0.500012), PostedPrice(0.500035))
+        assert res.m_changes == 1 and res.v_m == 0.500035
+        res = crossing_thresholds(PostedPrice(0.500035), PostedPrice(0.500012))
+        assert res.m_changes == 1 and res.v_m is None
+
+    def test_matches_grid_scan(self, uniform, two_point, beta25, exp1):
+        """RS, RO and PP menus at 7 targets and menus cut at random levels,
+        in seeded random ordered pairs on each reference: the change counts
+        of a 10,001-point grid scan, and its thresholds within 1e-12."""
+        rng = np.random.default_rng(2028)
+        sample = Empirical.from_samples(rng.beta(2.0, 5.0, 300))
+        bimodal = Mixture((Beta(2.0, 10.0), Beta(10.0, 2.0)), (0.85, 0.15))
+        for ref in (uniform, two_point, beta25, exp1, Beta(0.5, 0.5), Power(3.0), bimodal, sample):
+            pi0, _ = max_posted_revenue(ref)
+            mechs = []
+            for frac in (0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95):
+                tau = frac * pi0
+                mechs += [
+                    solve(ref, tau).mechanism,
+                    build_ro_mechanism(ref, radius_for_target(ref, tau)),
+                    solve_pp(ref, tau).mechanism,
+                ]
+            levels = rng.uniform(0.02, 0.98, 3) * pi0
+            mechs += [RandomizedLogMechanism.from_cut(cut(ref, lvl)) for lvl in levels]
+            for i, j in rng.integers(0, len(mechs), size=(40, 2)):
+                got = crossing_thresholds(mechs[i], mechs[j])
+                want = grid_crossing_thresholds(mechs[i], mechs[j])
+                assert (got.q_changes, got.m_changes, got.s_changes) == (
+                    want.q_changes, want.m_changes, want.s_changes
+                )
+                for v, w in zip((got.v_q, got.v_m, got.v_s), (want.v_q, want.v_m, want.v_s)):
+                    assert (v is None) == (w is None)
+                    assert v is None or abs(v - w) <= 1e-12 * w
 
     def test_rs_opt_vs_pp_power_reference_surplus_dominance(self):
         from robustmech import Power
