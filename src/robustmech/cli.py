@@ -297,6 +297,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # a table needs both ends, v = 0 and v = 1; refused before any solve
+    points = getattr(args, "table_points", 2)
+    if points < 2:
+        return _usage_error(f"--table-points must be an integer >= 2, got {points}")
     try:
         return _HANDLERS[args.command](args)
     except (InfeasibleTargetError, RadiusTooLargeError) as exc:

@@ -24,6 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .distributions import (
+    _SCAN_XS,
     Empirical,
     ValuationDistribution,
     _scan_grid,
@@ -42,6 +43,8 @@ LOG_LEVEL_FLOOR = -700.0
 _TANGENCY_WIDTH = 1e-9
 #: tie band for a crossing landing exactly on an empirical atom
 _TIE_BAND = 1e-12
+#: the scan grid's points, read as Python floats
+_SCAN_VIEW = memoryview(_SCAN_XS)
 
 
 @dataclass(frozen=True)
@@ -177,10 +180,11 @@ def _empirical_regions(dist: Empirical, pi: float):
 def _monotone_runs(dist: ValuationDistribution):
     """Maximal monotone runs of the cached revenue grid g = x * ccdf(x).
 
-    Run i spans grid points bounds[i]..bounds[i + 1] (neighbours share their
-    boundary point) and is nondecreasing when rising[i], nonincreasing
-    otherwise; flat steps join the run they sit in.  Returns the bounds, the
-    directions and g at each run's two ends.
+    Returns a read-only memoryview of g, whose items are Python floats, and
+    a tuple with one (lo, hi, rising, g[lo], g[hi]) per run: the run spans
+    grid points lo..hi (neighbours share their boundary point) and is
+    nondecreasing when rising, nonincreasing otherwise; flat steps join the
+    run they sit in.
     """
     _, g = _scan_grid(dist)
     # int8 steps keep the scratch arrays small next to the 0.8 MB grid
@@ -194,11 +198,10 @@ def _monotone_runs(dist: ValuationDistribution):
     flat = np.flatnonzero(step == 0)
     turns = heads + np.searchsorted(flat - np.arange(len(flat)), heads, side="right")
     bounds = np.concatenate(([0], turns, [len(g) - 1]))
-    runs = bounds, rising, g[bounds[:-1]], g[bounds[1:]]
-    for a in runs:
-        # every caller shares the cached arrays
-        a.setflags(write=False)
-    return runs
+    lo, hi = bounds[:-1], bounds[1:]
+    runs = zip(lo.tolist(), hi.tolist(), rising.tolist(), g[lo].tolist(), g[hi].tolist())
+    # every caller shares the cached view and runs
+    return memoryview(g).toreadonly(), tuple(runs)
 
 
 def _crossing_cells(dist: ValuationDistribution, pi: float) -> list[tuple[int, bool]]:
@@ -206,21 +209,18 @@ def _crossing_cells(dist: ValuationDistribution, pi: float) -> list[tuple[int, b
     crosses pi, in order, each with whether g rises through pi there.
 
     g >= pi holds on one end of a monotone run, so a run whose two ends
-    straddle pi holds exactly one such cell, found by one binary search.
+    straddle pi holds exactly one such cell, found by one binary search of
+    the run's interior in the grid's memoryview: Python floats throughout.
     """
-    _, g = _scan_grid(dist)
-    bounds, rising, g_first, g_last = _monotone_runs(dist)
-    up = rising & (g_first < pi) & (g_last >= pi)
-    down = ~rising & (g_first >= pi) & (g_last < pi)
+    g, runs = _monotone_runs(dist)
     cells = []
-    for i in np.flatnonzero(up | down):
-        lo, hi = int(bounds[i]), int(bounds[i + 1]) + 1
-        if up[i]:
-            # first point of the run at or above pi
-            cells.append((bisect_left(g, pi, lo, hi) - 1, True))
-        else:
-            # first point of the run below pi; bisect reads the run in place
-            cells.append((bisect_right(g, -pi, lo, hi, key=operator.neg) - 1, False))
+    for lo, hi, rising, first, last in runs:
+        if rising and first < pi <= last:
+            # first point of the run at or above pi: inside it, or else hi
+            cells.append((bisect_left(g, pi, lo + 1, hi) - 1, True))
+        elif not rising and first >= pi > last:
+            # first point of the run below pi: inside it, or else hi
+            cells.append((bisect_right(g, -pi, lo + 1, hi, key=operator.neg) - 1, False))
     return cells
 
 
@@ -229,7 +229,8 @@ def _continuous_regions(dist: ValuationDistribution, pi: float):
     Newton steps on g - pi, with g' = ccdf - x pdf, from the grid cells that
     hold them (the grid values at a cell's ends are the end values); and per
     interval, d ln(w/u) / d pi from 1 / (x g'(x)) at its ends."""
-    xs, g = _scan_grid(dist)
+    xs = _SCAN_VIEW
+    g, _ = _monotone_runs(dist)
     ccdf = 1.0
 
     def f(x: float) -> float:
@@ -261,19 +262,19 @@ def _continuous_regions(dist: ValuationDistribution, pi: float):
         if fl >= 0.0:
             add(True, pi, dl)
         else:
-            refine(True, pi, float(xs[0]), fl, float(g[0]) - pi, dl)
+            refine(True, pi, xs[0], fl, g[0] - pi, dl)
     cells = _crossing_cells(dist, pi)
     for j, rises in cells:
         # the grid is f's expression on an array, so g[j] - pi is f(xs[j])
-        refine(rises, float(xs[j]), float(xs[j + 1]), float(g[j]) - pi, float(g[j + 1]) - pi)
+        refine(rises, xs[j], xs[j + 1], g[j] - pi, g[j + 1] - pi)
     if not cells and g[0] < pi:
         # every grid value is below pi, so only the hump around the argmax
         # p, between two grid points, can reach a level short of pi0
         pi0, p = max_posted_revenue(dist)
-        j = int(np.searchsorted(xs, p, side="right"))
+        j = bisect_right(xs, p)
         if pi < pi0 and j > 0:
-            refine(True, float(xs[j - 1]), p, float(g[j - 1]) - pi, pi0 - pi)
-            refine(False, p, float(xs[j]), pi0 - pi, float(g[j]) - pi)
+            refine(True, xs[j - 1], p, g[j - 1] - pi, pi0 - pi)
+            refine(False, p, xs[j], pi0 - pi, g[j] - pi)
     if g[-1] >= pi:
         ends[False].append((1.0, 0.0))
     pairs = list(zip(ends[True], ends[False]))

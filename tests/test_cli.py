@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from robustmech import Uniform, eta_rs, from_json, pi_ro_star
+from robustmech import Uniform, eta_rs, from_json, pi_ro_star, rs_solver
 from robustmech.cli import EXIT_USAGE, build_parser, main
 
 UNIFORM = '{"kind":"uniform"}'
@@ -122,6 +122,35 @@ class TestTables:
         rows = json.loads(stdout)["mechanism_table"]
         lines = table.read_text().splitlines()[1:]
         assert lines == [",".join(map(repr, row)) for row in rows]
+
+    @pytest.mark.parametrize("points", ["-3", "0", "1"])
+    def test_fewer_than_two_points_refused_before_the_solve(
+        self, capsys, tmp_path, monkeypatch, points
+    ):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the table size was checked")
+
+        monkeypatch.setattr(rs_solver, "solve", no_solve)
+        out, table = tmp_path / "r.json", tmp_path / "mech.csv"
+        code, stdout, stderr = run_cli(
+            capsys, "solve-rs", "--reference", UNIFORM, "--tau", "0.2",
+            "--out", str(out), "--table", str(table), "--table-points", points,
+        )
+        assert code == EXIT_USAGE
+        assert stdout == ""
+        assert stderr == f"error: --table-points must be an integer >= 2, got {points}\n"
+        assert not out.exists() and not table.exists()
+
+    def test_two_points_tabulate_both_ends(self, capsys, tmp_path):
+        table = tmp_path / "mech.csv"
+        code, stdout, _ = run_cli(
+            capsys, "solve-rs", "--reference", UNIFORM, "--tau", "0.2",
+            "--table", str(table), "--table-points", "2",
+        )
+        assert code == 0
+        rows = json.loads(stdout)["mechanism_table"]
+        assert [row[0] for row in rows] == [0.0, 1.0]
+        assert len(table.read_text().splitlines()) == 3
 
     @pytest.mark.parametrize(
         "argv",

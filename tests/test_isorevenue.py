@@ -19,8 +19,9 @@ from robustmech import (
     max_posted_revenue,
     worst_case_ccdf,
 )
+from robustmech import isorevenue
 from robustmech.distributions import _SCAN_XS, _scan_grid
-from robustmech.isorevenue import _crossing_cells
+from robustmech.isorevenue import _crossing_cells, _monotone_runs
 
 # the references of the benchmark's solve-mix workload
 SOLVE_MIX_REFERENCES = {
@@ -81,6 +82,10 @@ class RevenuePlateau(ValuationDistribution):
     def _ccdf(self, xs):
         return np.minimum(1.0, 0.3 / xs)
 
+    def _pdf(self, x):
+        # the central difference of the CCDF would divide by 0 near x = 0
+        return 0.3 / (x * x) if x > 0.3 else 0.0
+
 
 GRID_REFERENCES = {**SOLVE_MIX_REFERENCES, "plateau": RevenuePlateau()}
 
@@ -118,6 +123,89 @@ class TestCrossingCells:
         _, g = _scan_grid(dist)
         x0 = float(_SCAN_XS[0])
         assert _crossing_cells(dist, x0) == mask_crossing_cells(g, x0)
+
+    @pytest.mark.parametrize("name", GRID_REFERENCES)
+    def test_levels_at_each_runs_end_values(self, name):
+        # the edges g[lo] < pi <= g[hi] of a rising run and g[lo] >= pi > g[hi]
+        # of a falling one, and a float to either side of each
+        dist = GRID_REFERENCES[name]
+        _, g = _scan_grid(dist)
+        _, runs = _monotone_runs(dist)
+        ends = {v for _, _, _, first, last in runs for v in (first, last)}
+        levels = ends | {math.nextafter(v, d) for v in ends for d in (-math.inf, math.inf)}
+        for pi in sorted(levels):
+            assert _crossing_cells(dist, pi) == mask_crossing_cells(g, pi), pi
+
+    @pytest.mark.parametrize("name", GRID_REFERENCES)
+    def test_python_types(self, name):
+        dist = GRID_REFERENCES[name]
+        view, runs = _monotone_runs(dist)
+        assert isinstance(view, memoryview) and view.readonly
+        assert view.tolist() == _scan_grid(dist)[1].tolist()
+        assert isinstance(runs, tuple)
+        for run in runs:
+            assert [type(v) for v in run] == [int, int, bool, float, float]
+        pi0, _ = max_posted_revenue(dist)
+        for frac in (1e-3, 0.45, 0.95):
+            for cell in _crossing_cells(dist, frac * pi0):
+                assert [type(v) for v in cell] == [int, bool]
+
+    @pytest.mark.parametrize("name", GRID_REFERENCES)
+    def test_cut_matches_the_full_mask_search(self, name, monkeypatch):
+        dist = GRID_REFERENCES[name]
+        _, g = _scan_grid(dist)
+        pi0, _ = max_posted_revenue(dist)
+        rng = np.random.default_rng(29)
+        top = float(g.max())
+        levels = np.concatenate(
+            (
+                rng.uniform(0.0, pi0, 15),
+                g[rng.integers(0, len(g), 10)],
+                g[int(np.argmax(g)) + np.arange(-3, 4)],
+                [g[0], g[-1], math.nextafter(top, 1.0), pi0],
+                # above every grid value, up to pi0
+                np.linspace(top, pi0, 7)[1:-1],
+                np.exp(rng.uniform(-700.0, math.log(pi0), 6)),
+            )
+        ).tolist()
+        levels = sorted(pi for pi in set(levels) if 0.0 < pi <= pi0)
+        searched = [cut(dist, pi) for pi in levels]
+        monkeypatch.setattr(
+            isorevenue, "_crossing_cells", lambda d, pi: mask_crossing_cells(_scan_grid(d)[1], pi)
+        )
+        assert [cut(dist, pi) for pi in levels] == searched
+
+    @pytest.mark.parametrize("name", GRID_REFERENCES)
+    def test_cut_reads_a_logarithm_of_each_straddling_run(self, name, monkeypatch):
+        # a cut reads the grid only in the binary searches of the runs that
+        # straddle its level and at the two ends of each crossing cell, plus
+        # at most END_READS values at the grid's ends and around the argmax
+        END_READS = 5
+        dist = GRID_REFERENCES[name]
+        view, runs = _monotone_runs(dist)
+        pi0, _ = max_posted_revenue(dist)
+
+        class CountingGrid:
+            reads = 0
+
+            def __len__(self):
+                return len(view)
+
+            def __getitem__(self, j):
+                CountingGrid.reads += 1
+                return view[j]
+
+        monkeypatch.setattr(isorevenue, "_monotone_runs", lambda d: (CountingGrid(), runs))
+        for pi in (1e-300, 1e-6 * pi0, 0.05 * pi0, 0.45 * pi0, 0.95 * pi0, (1.0 - 1e-13) * pi0):
+            straddling = [
+                hi - lo + 1
+                for lo, hi, rising, first, last in runs
+                if (first < pi <= last if rising else first >= pi > last)
+            ]
+            CountingGrid.reads = 0
+            cut(dist, pi)
+            bound = sum(math.ceil(math.log2(n)) + 2 for n in straddling) + END_READS
+            assert CountingGrid.reads <= bound, (pi, straddling)
 
 
 class TestCrossings:
